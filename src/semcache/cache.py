@@ -1,14 +1,21 @@
 """Byte-capacity content cache with recency eviction and prefetch accounting.
 
-Keys are opaque: the simulator uses the canonical metadata serialization in
-Semantic mode and the bare IRI in Traditional mode.  Every entry remembers
-whether it was inserted on demand or by a prefetch, so the useless-prefetch
-ratio (prefetched bytes never served to anyone) can be reported per run.
+Keys are opaque; the simulator keys every cache by entity IRI in both
+modes.  Every entry remembers whether it was inserted on demand or by a
+prefetch, so the useless-prefetch ratio (prefetched bytes never served to
+anyone) can be reported per run.
+
+The order of the entries is the eviction order, so each eviction takes
+the front entry in O(1).  Under LRU every touch (a hit, a refreshing re-insert or a
+prefetch credit) moves the entry to the back; under FIFO entries never
+move, so a refresh keeps its place.  Entries touched at the same time are
+therefore evicted in operation order.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import OrderedDict
 from dataclasses import dataclass, asdict
 from typing import Hashable, Optional
 
@@ -31,22 +38,9 @@ class CacheEntry:
     key: Hashable
     size: int
     origin: ContentOrigin
-    inserted_at: float
-    last_access: float
     hit_count: int = 0
     # Set once the entry's bytes have been credited as a useful prefetch.
     prefetch_credited: bool = False
-
-
-def _lru_victim(entry: CacheEntry):
-    return (entry.last_access, entry.inserted_at, str(entry.key))
-
-
-def _fifo_victim(entry: CacheEntry):
-    return (entry.inserted_at, str(entry.key))
-
-
-_POLICIES = {"lru": _lru_victim, "fifo": _fifo_victim}
 
 
 @dataclass
@@ -80,17 +74,16 @@ class CacheStats:
 
 
 class Cache:
-    """Single-writer byte-capacity cache; eviction policy is pluggable."""
+    """Single-writer byte-capacity cache with LRU or FIFO eviction."""
 
     def __init__(self, capacity: int, policy: str = "lru"):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if policy not in _POLICIES:
+        if policy not in ("lru", "fifo"):
             raise ValueError(f"unknown eviction policy {policy!r}")
         self.capacity = capacity
         self.policy = policy
-        self._victim_key = _POLICIES[policy]
-        self._entries: dict[Hashable, CacheEntry] = {}
+        self._entries: OrderedDict[Hashable, CacheEntry] = OrderedDict()
         self._clock = 0.0
         self._stats = CacheStats(capacity=capacity)
 
@@ -117,11 +110,8 @@ class Cache:
         if entry is None:
             return None
         self._stats.hits += 1
-        entry.last_access = now
         entry.hit_count += 1
-        if entry.origin is ContentOrigin.PREFETCH and not entry.prefetch_credited:
-            entry.prefetch_credited = True
-            self._stats.prefetched_bytes_hit += entry.size
+        self._touch(entry)
         return entry
 
     def insert(self, key: Hashable, size: int, origin: ContentOrigin, now: float) -> bool:
@@ -129,7 +119,8 @@ class Cache:
 
         Returns False (and changes nothing but the rejection counter) when
         the object alone exceeds the cache capacity.  Re-inserting a present
-        key refreshes its recency and origin without double-counting bytes.
+        key refreshes its origin (and, under LRU, its recency) without
+        double-counting bytes.
         """
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
@@ -143,14 +134,13 @@ class Cache:
             self._stats.used += size - existing.size
             existing.size = size
             existing.origin = origin
-            existing.last_access = now
-            self._evict_until_fits(exclude=key)
+            if self.policy == "lru":
+                self._entries.move_to_end(key)
+            self._evict(0, exclude=key)
             return True
 
-        while self._stats.used + size > self.capacity:
-            self._evict_one()
-        entry = CacheEntry(key, size, origin, inserted_at=now, last_access=now)
-        self._entries[key] = entry
+        self._evict(size)
+        self._entries[key] = CacheEntry(key, size, origin)
         self._stats.used += size
         if origin is ContentOrigin.PREFETCH:
             self._stats.prefetch_insertions += 1
@@ -166,26 +156,25 @@ class Cache:
         satisfied by an in-flight prefetch arriving at the cache.
         """
         self._advance(now)
-        entry = self._entries[key]
-        entry.last_access = now
+        self._touch(self._entries[key])
+
+    def _touch(self, entry: CacheEntry) -> None:
+        """Move a demanded entry to the back (LRU) and credit its prefetch."""
+        if self.policy == "lru":
+            self._entries.move_to_end(entry.key)
         if entry.origin is ContentOrigin.PREFETCH and not entry.prefetch_credited:
             entry.prefetch_credited = True
             self._stats.prefetched_bytes_hit += entry.size
 
-    def _evict_one(self) -> None:
-        victim = min(self._entries.values(), key=self._victim_key)
-        del self._entries[victim.key]
-        self._stats.used -= victim.size
-        self._stats.evictions += 1
+    def _evict(self, incoming: int, exclude: Optional[Hashable] = None) -> None:
+        """Evict from the front until ``incoming`` more bytes fit.
 
-    def _evict_until_fits(self, exclude: Hashable) -> None:
-        while self._stats.used > self.capacity:
-            victim = min(
-                (e for e in self._entries.values() if e.key != exclude),
-                key=self._victim_key,
-            )
-            del self._entries[victim.key]
-            self._stats.used -= victim.size
+        ``exclude`` is never first under LRU (it was just moved to the
+        back), so the victim is always the first or second key.
+        """
+        while self._stats.used + incoming > self.capacity:
+            victim = next(k for k in self._entries if k != exclude)
+            self._stats.used -= self._entries.pop(victim).size
             self._stats.evictions += 1
 
     def stats(self) -> CacheStats:

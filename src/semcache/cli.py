@@ -28,6 +28,7 @@ from semcache import codec as codec_mod
 from semcache.codec import EntityKind, HopByHopHeader, MetadataDescriptor
 from semcache.experiments import (
     Scenario,
+    SweepPoint,
     SweepSpec,
     SweepVariable,
     summary_table,
@@ -179,7 +180,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.out:
         sink = io.StringIO()
-        write_csv_single(report, sink)
+        write_csv([SweepPoint(None, mode, report)], sink)
         _atomic_write(args.out, sink.getvalue())
     if args.records:
         lines = [json.dumps(_record_dict(r)) for r in records]
@@ -199,15 +200,6 @@ def _record_dict(r) -> dict:
         "latency_ms": r.latency_ms,
         "served_from": r.served_from.value,
     }
-
-
-def write_csv_single(report: MetricsReport, sink) -> None:
-    import csv as _csv
-
-    row = report.flat_dict()
-    writer = _csv.DictWriter(sink, fieldnames=sorted(row), lineterminator="\n")
-    writer.writeheader()
-    writer.writerow(row)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -73,7 +73,7 @@ def _check_iri(iri: str) -> None:
 
 @dataclass(frozen=True)
 class MetadataDescriptor:
-    """Canonical semantic description of a request; also the cache key."""
+    """Canonical semantic description of a request."""
 
     entity_iri: str
     entity_kind: EntityKind

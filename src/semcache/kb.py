@@ -120,12 +120,6 @@ class KnowledgeBase:
         return list(self._successors.get((subject, predicate), []))
 
 
-def content_size_of(kb: KnowledgeBase, iri: str) -> int:
-    if iri not in kb.sizes:
-        raise UnknownEntity(iri)
-    return kb.sizes[iri]
-
-
 def infer_next(kb: KnowledgeBase, current: MetadataDescriptor) -> list[MetadataDescriptor]:
     """Predict the requests likely to follow ``current``, one hop only.
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from semcache.cache import Cache, ContentOrigin
 from semcache.codec import MetadataDescriptor, wire_size
@@ -127,23 +127,6 @@ class RequestRecord:
         return self.completed_at - self.issued_at
 
 
-class EventKind(enum.Enum):
-    REQUEST_ISSUED = "request_issued"
-    METADATA_ARRIVED = "metadata_arrived"
-    CACHE_DECISION = "cache_decision"
-    ORIGIN_RESPONSE = "origin_response"
-    PREFETCH_COMPLETE = "prefetch_complete"
-    DELIVERED_TO_UE = "delivered_to_ue"
-    HOP = "hop"
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    time: float
-    kind: EventKind
-    request_id: Optional[int]
-
-
 class _Channel:
     """One direction of a link; FIFO store-and-forward."""
 
@@ -163,24 +146,16 @@ class _Channel:
 
 class _EventLoop:
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, SimEvent, Callable[[float], None]]] = []
+        self._heap: list[tuple[float, int, Callable[[float], None]]] = []
         self._seq = 0
-        self.log: list[SimEvent] = []
 
-    def at(
-        self,
-        time: float,
-        kind: EventKind,
-        request_id: Optional[int],
-        fn: Callable[[float], None],
-    ) -> None:
-        heapq.heappush(self._heap, (time, self._seq, SimEvent(time, kind, request_id), fn))
+    def at(self, time: float, fn: Callable[[float], None]) -> None:
+        heapq.heappush(self._heap, (time, self._seq, fn))
         self._seq += 1
 
     def run(self) -> None:
         while self._heap:
-            time, _, event, fn = heapq.heappop(self._heap)
-            self.log.append(event)
+            time, _, fn = heapq.heappop(self._heap)
             fn(time)
 
 
@@ -216,8 +191,9 @@ class _Simulation:
 
         n_caches = t.cells if t.cache_location is CacheLocation.ENODEB else 1
         self.caches = [Cache(t.cache_capacity, eviction) for _ in range(n_caches)]
-        self.in_flight: list[set[Hashable]] = [set() for _ in range(n_caches)]
-        self.waiters: list[dict[Hashable, list[RequestRecord]]] = [
+        # Every cache, in-flight set and waiter list is keyed by entity IRI.
+        self.in_flight: list[set[str]] = [set() for _ in range(n_caches)]
+        self.waiters: list[dict[str, list[RequestRecord]]] = [
             {} for _ in range(n_caches)
         ]
 
@@ -268,8 +244,6 @@ class _Simulation:
         channels: Sequence[_Channel],
         start: float,
         nbytes: float,
-        arrival_kind: EventKind,
-        request_id: Optional[int],
         on_arrival: Callable[[float], None],
     ) -> None:
         """Forward a message hop by hop; each hop claims its channel in
@@ -280,17 +254,11 @@ class _Simulation:
                 on_arrival(t)
                 return
             arrive = channels[index].transfer(t, nbytes)
-            kind = arrival_kind if index == len(channels) - 1 else EventKind.HOP
-            self.loop.at(arrive, kind, request_id, lambda tt: hop(index + 1, tt))
+            self.loop.at(arrive, lambda tt: hop(index + 1, tt))
 
         hop(0, start)
 
     # -- request lifecycle --------------------------------------------------
-
-    def _key_for(self, descriptor: MetadataDescriptor) -> Hashable:
-        if self.mode is Mode.SEMANTIC:
-            return descriptor.to_bytes()
-        return descriptor.entity_iri
 
     def _request_bytes(self, iri: str) -> int:
         return len(iri.encode("utf-8"))
@@ -312,29 +280,19 @@ class _Simulation:
                 idx, entry.user_id, entry.cell_id, descriptor, entry.time_ms
             )
             self.records.append(record)
-            self.loop.at(
-                entry.time_ms,
-                EventKind.REQUEST_ISSUED,
-                idx,
-                lambda t, r=record: self._issue(r, t),
-            )
+            self.loop.at(entry.time_ms, lambda t, r=record: self._issue(r, t))
 
     def _issue(self, record: RequestRecord, t: float) -> None:
         nbytes = self._request_bytes(record.descriptor.entity_iri)
         self._send(
-            self._access_up(record.cell_id),
-            t,
-            nbytes,
-            EventKind.METADATA_ARRIVED,
-            record.request_id,
-            lambda tt: self._at_cache(record, tt),
+            self._access_up(record.cell_id), t, nbytes, lambda tt: self._at_cache(record, tt)
         )
 
     def _at_cache(self, record: RequestRecord, t: float) -> None:
         ci = self._cache_index(record.cell_id)
         cache = self.caches[ci]
-        key = self._key_for(record.descriptor)
-        size = self.kb.sizes[record.descriptor.entity_iri]
+        key = record.descriptor.entity_iri
+        size = self.kb.sizes[key]
 
         entry = cache.lookup(key, t)
         if entry is not None:
@@ -350,34 +308,20 @@ class _Simulation:
             self._launch_prefetches(record, ci, t)
 
     def _fetch_demand(
-        self, record: RequestRecord, ci: int, key: Hashable, size: int, t: float
+        self, record: RequestRecord, ci: int, key: str, size: int, t: float
     ) -> None:
-        nbytes = self._request_bytes(record.descriptor.entity_iri)
+        nbytes = self._request_bytes(key)
         cell = record.cell_id
 
         def at_origin(t_origin: float) -> None:
             self.origin_bytes += size
-            self._send(
-                self._origin_down(cell),
-                t_origin,
-                size,
-                EventKind.CACHE_DECISION,
-                record.request_id,
-                back_at_cache,
-            )
+            self._send(self._origin_down(cell), t_origin, size, back_at_cache)
 
         def back_at_cache(t_back: float) -> None:
             self.caches[ci].insert(key, size, ContentOrigin.DEMAND, t_back)
             self._deliver(record, t_back, size, ServedFrom.ORIGIN)
 
-        self._send(
-            self._origin_up(cell),
-            t,
-            nbytes,
-            EventKind.ORIGIN_RESPONSE,
-            record.request_id,
-            at_origin,
-        )
+        self._send(self._origin_up(cell), t, nbytes, at_origin)
 
     def _deliver(
         self, record: RequestRecord, t: float, size: int, served_from: ServedFrom
@@ -386,14 +330,7 @@ class _Simulation:
             record.completed_at = t_done
             record.served_from = served_from
 
-        self._send(
-            self._access_down(record.cell_id),
-            t,
-            size,
-            EventKind.DELIVERED_TO_UE,
-            record.request_id,
-            delivered,
-        )
+        self._send(self._access_down(record.cell_id), t, size, delivered)
 
     # -- prefetch path ------------------------------------------------------
 
@@ -403,50 +340,32 @@ class _Simulation:
             predictions = predictions[: self.max_prefetch]
         cache = self.caches[ci]
         for predicted in predictions:
-            key = self._key_for(predicted)
+            key = predicted.entity_iri
             if key in cache or key in self.in_flight[ci]:
                 continue
             self.in_flight[ci].add(key)
-            self._prefetch(record, ci, key, predicted, t)
+            self._prefetch(record, ci, key, t)
 
-    def _prefetch(
-        self,
-        record: RequestRecord,
-        ci: int,
-        key: Hashable,
-        predicted: MetadataDescriptor,
-        t: float,
-    ) -> None:
-        size = self.kb.sizes[predicted.entity_iri]
+    def _prefetch(self, record: RequestRecord, ci: int, key: str, t: float) -> None:
+        size = self.kb.sizes[key]
         cell = record.cell_id
 
         def at_origin(t_origin: float) -> None:
             self.origin_bytes += size
-            self._send(
-                self._origin_down(cell),
-                t_origin,
-                size,
-                EventKind.PREFETCH_COMPLETE,
-                record.request_id,
-                arrived,
-            )
+            self._send(self._origin_down(cell), t_origin, size, arrived)
 
         def arrived(t_back: float) -> None:
             cache = self.caches[ci]
             self.in_flight[ci].discard(key)
-            cache.insert(key, size, ContentOrigin.PREFETCH, t_back)
+            # An object larger than the cache is rejected; its waiters are
+            # still served, but there is no cached prefetch to credit.
+            cached = cache.insert(key, size, ContentOrigin.PREFETCH, t_back)
             for waiter in self.waiters[ci].pop(key, []):
-                cache.credit_prefetch_hit(key, t_back)
+                if cached:
+                    cache.credit_prefetch_hit(key, t_back)
                 self._deliver(waiter, t_back, size, ServedFrom.ORIGIN)
 
-        self._send(
-            self._origin_up(cell),
-            t,
-            self._request_bytes(predicted.entity_iri),
-            EventKind.HOP,
-            record.request_id,
-            at_origin,
-        )
+        self._send(self._origin_up(cell), t, self._request_bytes(key), at_origin)
 
     # -- reporting ----------------------------------------------------------
 

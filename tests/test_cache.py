@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semcache.cache import Cache, ContentOrigin, TimeRegression
 
@@ -142,7 +142,7 @@ class TestStats:
 
 ops = st.lists(
     st.tuples(
-        st.sampled_from(["insert", "lookup"]),
+        st.sampled_from(["insert", "lookup", "credit"]),
         st.integers(min_value=0, max_value=12),  # key index
         st.integers(min_value=1, max_value=120),  # size
         st.booleans(),  # prefetch?
@@ -151,19 +151,34 @@ ops = st.lists(
 )
 
 
+def timed(sequence, ops_per_tick):
+    """Give each operation a time; several operations share each tick."""
+    return [(t // ops_per_tick, *op) for t, op in enumerate(sequence)]
+
+
 class TestAgainstReference:
     def _run_pair(self, sequence, capacity, policy):
         real = Cache(capacity, policy)
         ref = ReferenceCache(capacity, policy)
-        for t, (op, ki, size, pf) in enumerate(sequence):
+        for now, op, ki, size, pf in sequence:
             key = f"k{ki}"
             if op == "insert":
                 origin = P if pf else D
-                r1 = real.insert(key, size, origin, t)
-                r2 = ref.insert(key, size, origin.value, t)
+                r1 = real.insert(key, size, origin, now)
+                r2 = ref.insert(key, size, origin.value, now)
+            elif op == "lookup":
+                r1 = real.lookup(key, now) is not None
+                r2 = ref.lookup(key, now)
             else:
-                r1 = real.lookup(key, t) is not None
-                r2 = ref.lookup(key, t)
+                r1 = r2 = key in real
+                if r1:
+                    real.credit_prefetch_hit(key, now)
+                    ref.credit_prefetch_hit(key, now)
+                else:
+                    with pytest.raises(KeyError):
+                        real.credit_prefetch_hit(key, now)
+                    with pytest.raises(KeyError):
+                        ref.credit_prefetch_hit(key, now)
             assert r1 == r2
             assert real.used <= capacity
             assert sorted(str(e.key) for e in real.entries()) == ref.keys()
@@ -173,21 +188,37 @@ class TestAgainstReference:
         assert s.prefetched_bytes_hit == ref.prefetched_bytes_hit
         assert s.used == ref.used()
 
-    @given(sequence=ops, policy=st.sampled_from(["lru", "fifo"]))
+    @given(
+        sequence=ops,
+        policy=st.sampled_from(["lru", "fifo"]),
+        ops_per_tick=st.sampled_from([1, 4, 60]),
+    )
+    # One tick for all: the victim of the third insert is decided by a tie.
+    @example([("insert", 5, 100, False), ("insert", 1, 100, False),
+              ("insert", 7, 300, False)], "lru", 60)
+    @example([("insert", 5, 100, False), ("insert", 1, 100, False),
+              ("lookup", 5, 1, False), ("insert", 7, 300, False)], "fifo", 60)
     @settings(max_examples=200, deadline=None)
-    def test_matches_reference(self, sequence, policy):
-        self._run_pair(sequence, capacity=400, policy=policy)
+    def test_matches_reference(self, sequence, policy, ops_per_tick):
+        self._run_pair(timed(sequence, ops_per_tick), capacity=400, policy=policy)
 
     def test_thousand_random_sequences(self):
+        # Distinct times and four operations per tick, under both policies.
         rng = random.Random(99)
-        for _ in range(1000):
-            seq = [
-                (
-                    rng.choice(["insert", "lookup"]),
-                    rng.randint(0, 10),
-                    rng.randint(1, 150),
-                    rng.random() < 0.4,
-                )
-                for _ in range(rng.randint(5, 40))
-            ]
-            self._run_pair(seq, capacity=rng.choice([200, 400, 800]), policy="lru")
+        for policy in ("lru", "fifo"):
+            for ops_per_tick in (1, 4):
+                for _ in range(1000):
+                    seq = [
+                        (
+                            rng.choice(["insert", "lookup", "credit"]),
+                            rng.randint(0, 10),
+                            rng.randint(1, 150),
+                            rng.random() < 0.4,
+                        )
+                        for _ in range(rng.randint(5, 40))
+                    ]
+                    self._run_pair(
+                        timed(seq, ops_per_tick),
+                        capacity=rng.choice([200, 400, 800]),
+                        policy=policy,
+                    )

@@ -11,7 +11,6 @@ from semcache.kb import (
     Predicate,
     Triple,
     UnknownEntity,
-    content_size_of,
     infer_next,
     load_knowledge_base,
     null_inference,
@@ -138,20 +137,6 @@ class TestInference:
     def test_null_inference(self):
         kb = small_kb()
         assert null_inference(kb, kb.describe("wiki/A")) == []
-
-
-class TestContentSize:
-    def test_declared_size(self):
-        kb = small_kb()
-        assert content_size_of(kb, "wiki/A") == 40960
-
-    def test_unknown(self):
-        with pytest.raises(UnknownEntity):
-            content_size_of(small_kb(), "wiki/Nope")
-
-    def test_stable(self):
-        kb = small_kb()
-        assert content_size_of(kb, "wiki/B") == content_size_of(kb, "wiki/B")
 
 
 def test_triple_requires_non_empty_fields():

@@ -150,6 +150,23 @@ class TestPrefetchScenario:
         report, _ = run_simulation(topo(), kb, trace, Mode.SEMANTIC)
         assert report.prefetched_bytes == 25000  # Bob fetched once
 
+    def test_waiter_served_when_prefetch_too_big_to_cache(self):
+        kb = load_knowledge_base(io.StringIO(
+            '"a" spouse "b"\n"a" type Person\n"a" size 50000\n'
+            '"b" type Person\n"b" size 50000\n'
+        ))
+        trace = [TraceEntry(0.0, 0, 0, "a"), TraceEntry(1.0, 1, 0, "b")]
+        report, records = run_simulation(topo(capacity=10_000), kb, trace, Mode.SEMANTIC)
+        # The cache rejects both objects, yet b's request still gets the
+        # prefetched bytes, at the same time as when the cache has room.
+        _, roomy = run_simulation(topo(capacity=20_000_000), kb, trace, Mode.SEMANTIC)
+        assert [r.served_from for r in records] == [ServedFrom.ORIGIN] * 2
+        assert [r.latency_ms for r in records] == [r.latency_ms for r in roomy]
+        assert [r.latency_ms for r in records] == pytest.approx([240.0, 279.0], abs=0.01)
+        assert report.origin_bytes == 100_000
+        assert report.prefetched_bytes == 0
+        assert report.hits == 0
+
 
 class TestConcurrencyInvariant:
     def test_infinite_bandwidth_demand_independent_of_prefetch(self):
