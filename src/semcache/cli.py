@@ -9,8 +9,8 @@ Subcommands:
     codec        encode a descriptor to header hex, or decode header hex
 
 Scenario files are flat YAML key-value mappings; command-line flags
-override scenario values.  ``SEMCACHE_SEED`` is used when no seed is given
-anywhere else.
+override scenario values and unknown keys are rejected.  ``SEMCACHE_SEED``
+is used when no seed is given anywhere else.
 """
 
 from __future__ import annotations
@@ -50,6 +50,17 @@ class ConfigError(Exception):
         self.field = field
 
 
+_LINKS = ("ue_enb", "enb_sgw", "sgw_pgw", "pgw_inet")
+
+_SCENARIO_KEYS = frozenset(
+    {
+        "kb", "trace", "mode", "cache_location", "cache_size", "cells", "eviction",
+        "seed", "max_prefetch", "n_users", "p_follow", "gap_ms", "requests_per_user",
+    }
+    | {f"{link}_{param}" for link in _LINKS for param in ("delay_ms", "bandwidth")}
+)
+
+
 def _atomic_write(path: str, text: str) -> None:
     """Write via a temp file in the target directory; rename on success."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -73,6 +84,9 @@ def _load_scenario_file(path: str | None) -> dict:
         data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):
         raise ConfigError("scenario", "scenario file must be a key-value mapping")
+    unknown = sorted(str(key) for key in data if key not in _SCENARIO_KEYS)
+    if unknown:
+        raise ConfigError("scenario", f"unknown key(s): {', '.join(unknown)}")
     return data
 
 
@@ -87,12 +101,29 @@ def _resolve(args: argparse.Namespace, key: str, scenario: dict, default=None):
     return default
 
 
+def _int(field: str, raw) -> int:
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(field, f"must be an integer, got {raw!r}") from None
+
+
 def _resolve_seed(args, scenario) -> int:
     seed = _resolve(args, "seed", scenario)
-    if seed is None:
-        env = os.environ.get("SEMCACHE_SEED")
-        seed = int(env) if env else 0
-    return int(seed)
+    if seed is not None:
+        return _int("seed", seed)
+    env = os.environ.get("SEMCACHE_SEED")
+    return _int("SEMCACHE_SEED", env) if env else 0
+
+
+def _resolve_max_prefetch(args, scenario) -> int | None:
+    raw = _resolve(args, "max-prefetch", scenario)
+    if raw is None:
+        return None
+    value = _int("max_prefetch", raw)
+    if value < 0:
+        raise ConfigError("max_prefetch", f"must be >= 0, got {value}")
+    return value
 
 
 def _resolve_path(args, scenario, key: str) -> str:
@@ -113,24 +144,23 @@ def _link(scenario: dict, name: str, default: LinkSpec) -> LinkSpec:
         raise ConfigError(name, str(exc)) from None
 
 
+def _cache_location(field: str, raw) -> CacheLocation:
+    try:
+        return CacheLocation(str(raw).lower())
+    except ValueError:
+        raise ConfigError(field, f"must be one of enodeb/sgw/pgw, got {raw!r}") from None
+
+
 def _build_topology(args, scenario: dict) -> Topology:
     defaults = Topology()
     location = _resolve(args, "cache-location", scenario, defaults.cache_location.value)
-    try:
-        loc = CacheLocation(str(location).lower())
-    except ValueError:
-        raise ConfigError(
-            "cache_location", f"must be one of enodeb/sgw/pgw, got {location!r}"
-        ) from None
+    loc = _cache_location("cache_location", location)
     capacity = _resolve(args, "cache-size", scenario, defaults.cache_capacity)
     cells = _resolve(args, "cells", scenario, defaults.cells)
     try:
         return Topology(
             cells=int(cells),
-            ue_enb=_link(scenario, "ue_enb", defaults.ue_enb),
-            enb_sgw=_link(scenario, "enb_sgw", defaults.enb_sgw),
-            sgw_pgw=_link(scenario, "sgw_pgw", defaults.sgw_pgw),
-            pgw_inet=_link(scenario, "pgw_inet", defaults.pgw_inet),
+            **{link: _link(scenario, link, getattr(defaults, link)) for link in _LINKS},
             cache_location=loc,
             cache_capacity=int(capacity),
         )
@@ -170,12 +200,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     mode = _resolve_mode(args, scenario)
     seed = _resolve_seed(args, scenario)
     eviction = str(_resolve(args, "eviction", scenario, "lru"))
+    max_prefetch = _resolve_max_prefetch(args, scenario)
 
     kb = load_knowledge_base(kb_path)
     trace = load_trace(trace_path)
     report, records = run_simulation(
-        topology, kb, trace, mode, seed, eviction=eviction,
-        max_prefetch=_resolve(args, "max-prefetch", scenario),
+        topology, kb, trace, mode, seed, eviction=eviction, max_prefetch=max_prefetch
     )
 
     if args.out:
@@ -218,9 +248,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     values: tuple
     if variable is SweepVariable.CACHE_LOCATION:
-        values = tuple(CacheLocation(v.lower()) for v in args.values)
+        values = tuple(_cache_location("values", v) for v in args.values)
     else:
-        values = tuple(int(v) for v in args.values)
+        values = tuple(_int("values", v) for v in args.values)
 
     workload = _workload_from(args, scenario)
     spec = SweepSpec(

@@ -3,6 +3,8 @@
 Topology: per cell a UE group and an eNodeB with its own access and
 backhaul links, then a shared S-GW, P-GW and origin ("Internet").  The
 content cache sits at the eNodeB (one per cell), the S-GW or the P-GW.
+Each cell's path is split at the cache node once per run, into the links
+between the UE and the cache and those between the cache and the origin.
 
 Each link direction is a FIFO channel: a transfer occupies the channel for
 ``bytes / bandwidth`` ms and arrives ``propagation_delay`` ms after its
@@ -144,6 +146,21 @@ class _Channel:
         return self.busy_until + self.delay
 
 
+# Links between the UE and the cache node, by cache location.
+_CACHE_DEPTH = {CacheLocation.ENODEB: 1, CacheLocation.SGW: 2, CacheLocation.PGW: 3}
+
+
+@dataclass(frozen=True)
+class _CellRoutes:
+    """One cell's cache index and its channels, in travel order."""
+
+    cache: int
+    access_up: tuple[_Channel, ...]
+    access_down: tuple[_Channel, ...]
+    origin_up: tuple[_Channel, ...]
+    origin_down: tuple[_Channel, ...]
+
+
 class _EventLoop:
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Callable[[float], None]]] = []
@@ -180,16 +197,26 @@ class _Simulation:
         self.loop = _EventLoop()
 
         t = topology
-        self.ue_enb_up = [_Channel(t.ue_enb) for _ in range(t.cells)]
-        self.ue_enb_down = [_Channel(t.ue_enb) for _ in range(t.cells)]
-        self.enb_sgw_up = [_Channel(t.enb_sgw) for _ in range(t.cells)]
-        self.enb_sgw_down = [_Channel(t.enb_sgw) for _ in range(t.cells)]
-        self.sgw_pgw_up = _Channel(t.sgw_pgw)
-        self.sgw_pgw_down = _Channel(t.sgw_pgw)
-        self.pgw_inet_up = _Channel(t.pgw_inet)
-        self.pgw_inet_down = _Channel(t.pgw_inet)
+        per_cell = t.cache_location is CacheLocation.ENODEB
+        depth = _CACHE_DEPTH[t.cache_location]
+        shared_up = (_Channel(t.sgw_pgw), _Channel(t.pgw_inet))
+        shared_down = (_Channel(t.sgw_pgw), _Channel(t.pgw_inet))
+        self.routes: list[_CellRoutes] = []
+        for cell in range(t.cells):
+            # Both chains run from the UE outwards.
+            up = (_Channel(t.ue_enb), _Channel(t.enb_sgw), *shared_up)
+            down = (_Channel(t.ue_enb), _Channel(t.enb_sgw), *shared_down)
+            self.routes.append(
+                _CellRoutes(
+                    cache=cell if per_cell else 0,
+                    access_up=up[:depth],
+                    access_down=down[:depth][::-1],
+                    origin_up=up[depth:],
+                    origin_down=down[depth:][::-1],
+                )
+            )
 
-        n_caches = t.cells if t.cache_location is CacheLocation.ENODEB else 1
+        n_caches = t.cells if per_cell else 1
         self.caches = [Cache(t.cache_capacity, eviction) for _ in range(n_caches)]
         # Every cache, in-flight set and waiter list is keyed by entity IRI.
         self.in_flight: list[set[str]] = [set() for _ in range(n_caches)]
@@ -201,43 +228,6 @@ class _Simulation:
         self.origin_bytes = 0  # content bytes fetched from the origin
 
     # -- path helpers -------------------------------------------------------
-
-    def _cache_index(self, cell: int) -> int:
-        if self.topology.cache_location is CacheLocation.ENODEB:
-            return cell
-        return 0
-
-    def _access_up(self, cell: int) -> list[_Channel]:
-        loc = self.topology.cache_location
-        if loc is CacheLocation.ENODEB:
-            return [self.ue_enb_up[cell]]
-        if loc is CacheLocation.SGW:
-            return [self.ue_enb_up[cell], self.enb_sgw_up[cell]]
-        return [self.ue_enb_up[cell], self.enb_sgw_up[cell], self.sgw_pgw_up]
-
-    def _access_down(self, cell: int) -> list[_Channel]:
-        loc = self.topology.cache_location
-        if loc is CacheLocation.ENODEB:
-            return [self.ue_enb_down[cell]]
-        if loc is CacheLocation.SGW:
-            return [self.enb_sgw_down[cell], self.ue_enb_down[cell]]
-        return [self.sgw_pgw_down, self.enb_sgw_down[cell], self.ue_enb_down[cell]]
-
-    def _origin_up(self, cell: int) -> list[_Channel]:
-        loc = self.topology.cache_location
-        if loc is CacheLocation.ENODEB:
-            return [self.enb_sgw_up[cell], self.sgw_pgw_up, self.pgw_inet_up]
-        if loc is CacheLocation.SGW:
-            return [self.sgw_pgw_up, self.pgw_inet_up]
-        return [self.pgw_inet_up]
-
-    def _origin_down(self, cell: int) -> list[_Channel]:
-        loc = self.topology.cache_location
-        if loc is CacheLocation.ENODEB:
-            return [self.pgw_inet_down, self.sgw_pgw_down, self.enb_sgw_down[cell]]
-        if loc is CacheLocation.SGW:
-            return [self.pgw_inet_down, self.sgw_pgw_down]
-        return [self.pgw_inet_down]
 
     def _send(
         self,
@@ -283,13 +273,13 @@ class _Simulation:
             self.loop.at(entry.time_ms, lambda t, r=record: self._issue(r, t))
 
     def _issue(self, record: RequestRecord, t: float) -> None:
+        route = self.routes[record.cell_id]
         nbytes = self._request_bytes(record.descriptor.entity_iri)
-        self._send(
-            self._access_up(record.cell_id), t, nbytes, lambda tt: self._at_cache(record, tt)
-        )
+        self._send(route.access_up, t, nbytes, lambda tt: self._at_cache(record, tt))
 
     def _at_cache(self, record: RequestRecord, t: float) -> None:
-        ci = self._cache_index(record.cell_id)
+        route = self.routes[record.cell_id]
+        ci = route.cache
         cache = self.caches[ci]
         key = record.descriptor.entity_iri
         size = self.kb.sizes[key]
@@ -302,26 +292,27 @@ class _Simulation:
             # instead of fetching again.
             self.waiters[ci].setdefault(key, []).append(record)
         else:
-            self._fetch_demand(record, ci, key, size, t)
+
+            def fetched(t_back: float) -> None:
+                cache.insert(key, size, ContentOrigin.DEMAND, t_back)
+                self._deliver(record, t_back, size, ServedFrom.ORIGIN)
+
+            self._fetch(route, key, t, fetched)
 
         if self.mode is Mode.SEMANTIC:
-            self._launch_prefetches(record, ci, t)
+            self._launch_prefetches(record, route, t)
 
-    def _fetch_demand(
-        self, record: RequestRecord, ci: int, key: str, size: int, t: float
+    def _fetch(
+        self, route: _CellRoutes, key: str, t: float, arrived: Callable[[float], None]
     ) -> None:
-        nbytes = self._request_bytes(key)
-        cell = record.cell_id
+        """Fetch ``key`` from the origin to the cell's cache node."""
+        size = self.kb.sizes[key]
 
         def at_origin(t_origin: float) -> None:
             self.origin_bytes += size
-            self._send(self._origin_down(cell), t_origin, size, back_at_cache)
+            self._send(route.origin_down, t_origin, size, arrived)
 
-        def back_at_cache(t_back: float) -> None:
-            self.caches[ci].insert(key, size, ContentOrigin.DEMAND, t_back)
-            self._deliver(record, t_back, size, ServedFrom.ORIGIN)
-
-        self._send(self._origin_up(cell), t, nbytes, at_origin)
+        self._send(route.origin_up, t, self._request_bytes(key), at_origin)
 
     def _deliver(
         self, record: RequestRecord, t: float, size: int, served_from: ServedFrom
@@ -330,42 +321,34 @@ class _Simulation:
             record.completed_at = t_done
             record.served_from = served_from
 
-        self._send(self._access_down(record.cell_id), t, size, delivered)
+        self._send(self.routes[record.cell_id].access_down, t, size, delivered)
 
     # -- prefetch path ------------------------------------------------------
 
-    def _launch_prefetches(self, record: RequestRecord, ci: int, t: float) -> None:
+    def _launch_prefetches(self, record: RequestRecord, route: _CellRoutes, t: float) -> None:
         predictions = self.inference(self.kb, record.descriptor)
         if self.max_prefetch is not None:
             predictions = predictions[: self.max_prefetch]
+        ci = route.cache
         cache = self.caches[ci]
         for predicted in predictions:
             key = predicted.entity_iri
             if key in cache or key in self.in_flight[ci]:
                 continue
             self.in_flight[ci].add(key)
-            self._prefetch(record, ci, key, t)
+            self._fetch(route, key, t, lambda tb, key=key: self._prefetched(ci, key, tb))
 
-    def _prefetch(self, record: RequestRecord, ci: int, key: str, t: float) -> None:
+    def _prefetched(self, ci: int, key: str, t: float) -> None:
+        cache = self.caches[ci]
         size = self.kb.sizes[key]
-        cell = record.cell_id
-
-        def at_origin(t_origin: float) -> None:
-            self.origin_bytes += size
-            self._send(self._origin_down(cell), t_origin, size, arrived)
-
-        def arrived(t_back: float) -> None:
-            cache = self.caches[ci]
-            self.in_flight[ci].discard(key)
-            # An object larger than the cache is rejected; its waiters are
-            # still served, but there is no cached prefetch to credit.
-            cached = cache.insert(key, size, ContentOrigin.PREFETCH, t_back)
-            for waiter in self.waiters[ci].pop(key, []):
-                if cached:
-                    cache.credit_prefetch_hit(key, t_back)
-                self._deliver(waiter, t_back, size, ServedFrom.ORIGIN)
-
-        self._send(self._origin_up(cell), t, self._request_bytes(key), at_origin)
+        self.in_flight[ci].discard(key)
+        # An object larger than the cache is rejected; its waiters are
+        # still served, but there is no cached prefetch to credit.
+        cached = cache.insert(key, size, ContentOrigin.PREFETCH, t)
+        for waiter in self.waiters[ci].pop(key, []):
+            if cached:
+                cache.credit_prefetch_hit(key, t)
+            self._deliver(waiter, t, size, ServedFrom.ORIGIN)
 
     # -- reporting ----------------------------------------------------------
 
@@ -426,6 +409,8 @@ def run_simulation(
     The seed is echoed into the report for bookkeeping; the event schedule
     itself contains no randomness.
     """
+    if max_prefetch is not None and max_prefetch < 0:
+        raise ValueError(f"max_prefetch must be >= 0, got {max_prefetch}")
     sim = _Simulation(
         topology,
         kb,
@@ -437,7 +422,9 @@ def run_simulation(
     )
     sim.schedule_trace()
     sim.loop.run()
-    assert all(r.served_from is not None for r in sim.records)
+    unserved = next((r for r in sim.records if r.served_from is None), None)
+    if unserved is not None:
+        raise SimulationError(f"request {unserved.request_id} was never served")
     return sim.report(seed), sim.records
 
 

@@ -115,6 +115,75 @@ class TestSweep:
         assert code == 0
 
 
+class TestConfigErrors:
+    def test_non_integer_env_seed(self, kb_file, trace_file, monkeypatch, capsys):
+        monkeypatch.setenv("SEMCACHE_SEED", "abc")
+        assert main(["simulate", "--kb", kb_file, "--trace", trace_file]) == 2
+        assert "SEMCACHE_SEED" in capsys.readouterr().err
+
+    def test_non_integer_sweep_value(self, kb_file, capsys):
+        code = main(
+            ["sweep", "--kb", kb_file, "--variable", "cache-size", "--values", "10x"]
+        )
+        assert code == 2
+        assert "10x" in capsys.readouterr().err
+
+    def test_unknown_sweep_location(self, kb_file, capsys):
+        code = main(
+            ["sweep", "--kb", kb_file, "--variable", "cache-location", "--values", "foo"]
+        )
+        assert code == 2
+        assert "foo" in capsys.readouterr().err
+
+    def test_negative_max_prefetch(self, kb_file, trace_file, capsys):
+        code = main(
+            ["simulate", "--kb", kb_file, "--trace", trace_file, "--max-prefetch", "-1"]
+        )
+        assert code == 2
+        assert "max_prefetch" in capsys.readouterr().err
+
+    def test_scenario_max_prefetch_coerced(self, kb_file, trace_file, tmp_path, capsys):
+        scen = tmp_path / "scenario.yaml"
+        scen.write_text(f"kb: {kb_file}\ntrace: {trace_file}\nmax_prefetch: \"0\"\n")
+        assert main(["simulate", "--scenario", str(scen)]) == 0
+        from_file = capsys.readouterr().out
+        argv = ["simulate", "--kb", kb_file, "--trace", trace_file, "--max-prefetch", "0"]
+        assert main(argv) == 0
+        assert from_file == capsys.readouterr().out
+        assert "prefetched bytes:        0\n" in from_file
+
+    def test_scenario_max_prefetch_not_integer(self, kb_file, trace_file, tmp_path, capsys):
+        scen = tmp_path / "scenario.yaml"
+        scen.write_text(f"kb: {kb_file}\ntrace: {trace_file}\nmax_prefetch: two\n")
+        assert main(["simulate", "--scenario", str(scen)]) == 2
+        assert "max_prefetch" in capsys.readouterr().err
+
+    def test_unknown_scenario_key(self, kb_file, trace_file, tmp_path, capsys):
+        scen = tmp_path / "scenario.yaml"
+        scen.write_text(f"kb: {kb_file}\ntrace: {trace_file}\ncache_sise: 5\n")
+        assert main(["simulate", "--scenario", str(scen)]) == 2
+        assert "cache_sise" in capsys.readouterr().err
+
+    def test_every_scenario_key_accepted(self, kb_file, trace_file, tmp_path):
+        scen = tmp_path / "scenario.yaml"
+        links = "".join(
+            f"{link}_delay_ms: 5\n{link}_bandwidth: 2000\n"
+            for link in ("ue_enb", "enb_sgw", "sgw_pgw", "pgw_inet")
+        )
+        scen.write_text(
+            f"kb: {kb_file}\ntrace: {trace_file}\nmode: traditional\n"
+            "cache_location: sgw\ncache_size: 1000000\ncells: 1\neviction: fifo\n"
+            "seed: 3\nmax_prefetch: 1\nn_users: 2\np_follow: 0.5\n"
+            "gap_ms: [1000, 2000]\nrequests_per_user: [2, 3]\n" + links
+        )
+        assert main(["simulate", "--scenario", str(scen)]) == 0
+        assert main(
+            ["sweep", "--scenario", str(scen), "--variable", "cache-size",
+             "--values", "100000"]
+        ) == 0
+        assert main(["gen-trace", "--scenario", str(scen)]) == 0
+
+
 class TestGenTrace:
     def test_stdout_trace(self, kb_file, capsys):
         code = main(["gen-trace", "--kb", kb_file, "--n-users", "2", "--seed", "1"])

@@ -9,9 +9,11 @@ from semcache.sim import (
     LinkSpec,
     Mode,
     ServedFrom,
+    SimulationError,
     Topology,
     UnsortedTrace,
     _Channel,
+    _Simulation,
     metadata_overhead,
     run_simulation,
     transfer_time,
@@ -222,6 +224,60 @@ class TestPlacement:
         )
         assert rec_sgw[1].served_from is ServedFrom.CACHE
 
+    @pytest.mark.parametrize(
+        "location, latency",
+        [
+            (CacheLocation.ENODEB, 60.008),
+            (CacheLocation.SGW, 110.016),
+            (CacheLocation.PGW, 160.024),
+        ],
+    )
+    def test_hit_crosses_links_up_to_cache(self, location, latency):
+        # Store and forward over the first 1, 2 or 3 links (delays 10, 5,
+        # 5 ms; 1250 B/ms): per link the 10 request bytes take 0.008 ms
+        # and the 50,000 content bytes 40 ms.
+        kb = pair_kb()
+        trace = [
+            TraceEntry(0.0, 0, 0, "wiki/Alice"),
+            TraceEntry(5000.0, 0, 0, "wiki/Alice"),
+        ]
+        _, records = run_simulation(topo(location), kb, trace, Mode.TRADITIONAL)
+        assert records[1].served_from is ServedFrom.CACHE
+        assert records[1].latency_ms == pytest.approx(latency, abs=1e-9)
+
+    @pytest.mark.parametrize("location", list(CacheLocation))
+    def test_cells_queue_only_on_shared_links(self, location):
+        # Cell 0 misses on a 50,000 B object and cell 1 on a 5,000 B one,
+        # both at t=0; each miss crosses the whole chain both ways.
+        kb = load_knowledge_base(io.StringIO(
+            '"wiki/A" type Person\n"wiki/A" size 50000\n'
+            '"wiki/B" type Person\n"wiki/B" size 5000\n'
+        ))
+        topology = Topology(
+            cells=2,
+            ue_enb=LinkSpec(10.0, 1000.0),
+            enb_sgw=LinkSpec(5.0, 250.0),
+            sgw_pgw=LinkSpec(5.0, 1000.0),
+            pgw_inet=LinkSpec(20.0, 500.0),
+            cache_location=location,
+        )
+        trace = [TraceEntry(0.0, 0, 0, "wiki/A"), TraceEntry(0.0, 1, 1, "wiki/B")]
+        _, records = run_simulation(topology, kb, trace, Mode.TRADITIONAL)
+        # Up, 6 request bytes: each cell's own UE-eNodeB and eNodeB-S-GW
+        # links reach the S-GW at 15.030 for both.  B queues 0.006 ms
+        # behind A on S-GW-P-GW (A leaves 20.036, B 20.042) and then on
+        # P-GW-Internet (A at the origin 40.048, B 40.060).
+        # Down: P-GW-Internet sends A 40.048-140.048 (arrives 160.048) and
+        # B after it, 140.048-150.048 (170.048).  S-GW-P-GW sends A
+        # 160.048-210.048 (215.048) and B after it, 210.048-215.048
+        # (220.048).  B then has its own eNodeB-S-GW link, 220.048-240.048
+        # (245.048), while A's takes 215.048-415.048 (420.048); the
+        # UE-eNodeB links deliver A at 480.048 and B at 260.048.  Alone, B
+        # would take 120.048 ms.
+        assert [r.latency_ms for r in records] == pytest.approx(
+            [480.048, 260.048], abs=1e-9
+        )
+
 
 class TestNullInferenceEquivalence:
     def test_hit_miss_sequence_identical(self):
@@ -263,6 +319,27 @@ class TestValidation:
         trace = [TraceEntry(0.0, 0, 5, "wiki/Alice")]
         with pytest.raises(Exception, match="cell"):
             run_simulation(topo(), kb, trace, Mode.TRADITIONAL)
+
+    def test_negative_max_prefetch(self):
+        trace = [TraceEntry(0.0, 0, 0, "wiki/Alice")]
+        with pytest.raises(ValueError, match="max_prefetch"):
+            run_simulation(topo(), pair_kb(), trace, Mode.SEMANTIC, max_prefetch=-1)
+
+    def test_unserved_request(self, monkeypatch):
+        deliver = _Simulation._deliver
+
+        def drop_request_1(self, record, t, size, served_from):
+            if record.request_id != 1:
+                deliver(self, record, t, size, served_from)
+
+        monkeypatch.setattr(_Simulation, "_deliver", drop_request_1)
+        trace = [
+            TraceEntry(0.0, 0, 0, "wiki/Alice"),
+            TraceEntry(1.0, 1, 0, "wiki/Bob"),
+            TraceEntry(2.0, 2, 0, "wiki/Bob"),
+        ]
+        with pytest.raises(SimulationError, match="request 1 "):
+            run_simulation(topo(), pair_kb(), trace, Mode.TRADITIONAL)
 
 
 class TestDeterminism:
