@@ -16,7 +16,7 @@ from semcache.codec import (
     encode_metadata,
     wire_size,
 )
-from semcache.kb import KnowledgeBase, Predicate, Triple, load_knowledge_base
+from semcache.kb import KnowledgeBase, Predicate, load_knowledge_base
 from semcache.cache import Cache, CacheEntry, ContentOrigin
 from semcache.sim import (
     CacheLocation,
@@ -53,7 +53,6 @@ __all__ = [
     "SyntheticSpec",
     "Topology",
     "TraceEntry",
-    "Triple",
     "decode_metadata",
     "encode_metadata",
     "generate_trace",

@@ -126,6 +126,14 @@ def _resolve_max_prefetch(args, scenario) -> int | None:
     return value
 
 
+def _resolve_eviction(args, scenario) -> str:
+    raw = _resolve(args, "eviction", scenario, "lru")
+    value = str(raw).lower()
+    if value not in ("lru", "fifo"):
+        raise ConfigError("eviction", f"must be lru or fifo, got {raw!r}")
+    return value
+
+
 def _resolve_path(args, scenario, key: str) -> str:
     path = _resolve(args, key, scenario)
     if path is None:
@@ -199,7 +207,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     topology = _build_topology(args, scenario)
     mode = _resolve_mode(args, scenario)
     seed = _resolve_seed(args, scenario)
-    eviction = str(_resolve(args, "eviction", scenario, "lru"))
+    eviction = _resolve_eviction(args, scenario)
     max_prefetch = _resolve_max_prefetch(args, scenario)
 
     kb = load_knowledge_base(kb_path)
@@ -239,7 +247,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     kb_path = _resolve_path(args, scenario, "kb")
     topology = _build_topology(args, scenario)
     seed = _resolve_seed(args, scenario)
-    kb = load_knowledge_base(kb_path)
 
     try:
         variable = SweepVariable(args.variable.replace("-", "_"))
@@ -251,15 +258,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values = tuple(_cache_location("values", v) for v in args.values)
     else:
         values = tuple(_int("values", v) for v in args.values)
+        bad = [v for v in values if v <= 0]
+        if bad:
+            raise ConfigError("values", f"{variable.value} must be positive, got {bad[0]}")
 
-    workload = _workload_from(args, scenario)
-    spec = SweepSpec(
-        variable=variable,
-        values=values,
-        scenario=Scenario(topology=topology, workload=workload),
-        seed=seed,
+    scenario_spec = Scenario(
+        topology=topology,
+        workload=_workload_from(args, scenario),
+        eviction=_resolve_eviction(args, scenario),
+        max_prefetch=_resolve_max_prefetch(args, scenario),
     )
-    points = run_sweep(spec, kb)
+    spec = SweepSpec(variable=variable, values=values, scenario=scenario_spec, seed=seed)
+    points = run_sweep(spec, load_knowledge_base(kb_path))
     if args.out:
         sink = io.StringIO()
         write_csv(points, sink)
@@ -309,9 +319,13 @@ def cmd_validate_kb(args: argparse.Namespace) -> int:
         raise ConfigError("kb", f"file not found: {args.kb}")
     kb = load_knowledge_base(args.kb)
     persons = sum(1 for e in kb.entities() if kb.kind_of(e).name == "PERSON")
+    # One triple per distinct relation line and one per type declaration.
+    triples = len(kb.kinds) + sum(
+        len(objects) for by_subject in kb.relations.values() for objects in by_subject.values()
+    )
     sys.stdout.write(
         f"ok: {len(kb)} entities ({persons} persons, {len(kb) - persons} TV series), "
-        f"{len(kb.triples)} triples\n"
+        f"{triples} triples\n"
     )
     return EXIT_OK
 

@@ -1,10 +1,10 @@
-"""Directed triple store over a people / TV-series domain.
+"""Knowledge base over a people / TV-series domain.
 
-The knowledge base holds ``spouse`` and ``starring`` relations plus, for
-every entity, a kind (person or TV series) and the byte size of the content
-its request returns.  One-hop inference predicts a user's next request:
-for a person, the pages of their spouses; for a TV series, the pages of
-its stars.
+The knowledge base holds, for every entity, a kind (person or TV series),
+the byte size of the content its request returns and, per relation
+(``spouse`` or ``starring``), the entity's objects as a sorted tuple of
+IRIs.  One-hop inference predicts a user's next request: for a person, the
+pages of their spouses; for a TV series, the pages of its stars.
 
 File format (UTF-8, line oriented, ``#`` comments):
 
@@ -62,7 +62,6 @@ class UnknownEntity(KnowledgeBaseError):
 class Predicate(enum.Enum):
     SPOUSE = "spouse"
     STARRING = "starring"
-    TYPE_OF = "type"
 
 
 _KIND_NAMES = {"Person": EntityKind.PERSON, "TVSeries": EntityKind.TV_SERIES}
@@ -71,33 +70,17 @@ _KIND_NAMES = {"Person": EntityKind.PERSON, "TVSeries": EntityKind.TV_SERIES}
 _RULE = {EntityKind.PERSON: Predicate.SPOUSE, EntityKind.TV_SERIES: Predicate.STARRING}
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: str
-    predicate: Predicate
-    object: str
-
-    def __post_init__(self) -> None:
-        if not self.subject or not self.object:
-            raise ValueError("triple subject and object must be non-empty")
-
-
 @dataclass
 class KnowledgeBase:
-    """Immutable-after-load triple store with per-entity kind and size."""
+    """Immutable-after-load per-entity kind, size and sorted relations.
 
-    triples: frozenset[Triple] = field(default_factory=frozenset)
+    ``relations[predicate][subject]`` is the subject's objects under that
+    predicate, deduplicated and sorted by IRI.
+    """
+
     kinds: dict[str, EntityKind] = field(default_factory=dict)
     sizes: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        # successors[(subject, predicate)] -> lexicographically sorted objects
-        succ: dict[tuple[str, Predicate], list[str]] = {}
-        for t in self.triples:
-            succ.setdefault((t.subject, t.predicate), []).append(t.object)
-        for objects in succ.values():
-            objects.sort()
-        self._successors = succ
+    relations: dict[Predicate, dict[str, tuple[str, ...]]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -116,8 +99,8 @@ class KnowledgeBase:
     def describe(self, iri: str) -> MetadataDescriptor:
         return MetadataDescriptor(iri, self.kind_of(iri))
 
-    def objects_of(self, subject: str, predicate: Predicate) -> list[str]:
-        return list(self._successors.get((subject, predicate), []))
+    def objects_of(self, subject: str, predicate: Predicate) -> tuple[str, ...]:
+        return self.relations.get(predicate, {}).get(subject, ())
 
 
 def infer_next(kb: KnowledgeBase, current: MetadataDescriptor) -> list[MetadataDescriptor]:
@@ -153,7 +136,7 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
         with open(source, encoding="utf-8") as fh:
             return load_knowledge_base(fh)
 
-    triples: set[Triple] = set()
+    objects: dict[str, dict[str, set[str]]] = {p.value: {} for p in Predicate}
     kinds: dict[str, EntityKind] = {}
     sizes: dict[str, int] = {}
     referenced: dict[str, int] = {}  # iri -> first line referencing it
@@ -190,10 +173,10 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
                 raise ParseError(line_no, f"conflicting size for {subject!r}")
             sizes[subject] = size
             referenced.setdefault(subject, line_no)
-        elif keyword in (Predicate.SPOUSE.value, Predicate.STARRING.value):
+        elif keyword in objects:
             if not value:
                 raise ParseError(line_no, "empty object IRI")
-            triples.add(Triple(subject, Predicate(keyword), value))
+            objects[keyword].setdefault(subject, set()).add(value)
             referenced.setdefault(subject, line_no)
             referenced.setdefault(value, line_no)
         else:
@@ -205,8 +188,8 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
         if iri not in kinds:
             raise MissingTypeError(iri, referenced[iri])
 
-    kind_names = {v: k for k, v in _KIND_NAMES.items()}
-    type_triples = {
-        Triple(iri, Predicate.TYPE_OF, kind_names[kind]) for iri, kind in kinds.items()
+    relations = {
+        Predicate(name): {subject: tuple(sorted(objs)) for subject, objs in by_subject.items()}
+        for name, by_subject in objects.items()
     }
-    return KnowledgeBase(frozenset(triples | type_triples), kinds, sizes)
+    return KnowledgeBase(kinds, sizes, relations)

@@ -1,6 +1,13 @@
+import csv
+import io
+from pathlib import Path
+
 import pytest
 
+import semcache
 from semcache.cli import main
+
+REFERENCE_KB = Path(semcache.__file__).parent / "data" / "reference_kb.triples"
 
 KB_TEXT = """\
 "wiki/Alice" spouse "wiki/Bob"
@@ -114,6 +121,28 @@ class TestSweep:
         )
         assert code == 0
 
+    def _sweep_rows(self, tmp_path, scenario_text):
+        scen = tmp_path / "scenario.yaml"
+        scen.write_text(f"kb: {REFERENCE_KB}\n{scenario_text}")
+        out = tmp_path / "sweep.csv"
+        code = main(
+            ["sweep", "--scenario", str(scen), "--variable", "cache-size",
+             "--values", "3000000", "--n-users", "10", "--seed", "1", "--out", str(out)]
+        )
+        assert code == 0
+        return {r["mode"]: r for r in csv.DictReader(io.StringIO(out.read_text()))}
+
+    def test_scenario_max_prefetch(self, tmp_path):
+        assert int(self._sweep_rows(tmp_path, "")["semantic"]["prefetched_bytes"]) > 0
+        rows = self._sweep_rows(tmp_path, "max_prefetch: 0\n")
+        assert rows["semantic"]["prefetched_bytes"] == "0"
+
+    def test_scenario_eviction(self, tmp_path):
+        lru = self._sweep_rows(tmp_path, "eviction: lru\n")
+        fifo = self._sweep_rows(tmp_path, "eviction: fifo\n")
+        assert self._sweep_rows(tmp_path, "") == lru
+        assert fifo["traditional"]["hit_ratio"] != lru["traditional"]["hit_ratio"]
+
 
 class TestConfigErrors:
     def test_non_integer_env_seed(self, kb_file, trace_file, monkeypatch, capsys):
@@ -127,6 +156,14 @@ class TestConfigErrors:
         )
         assert code == 2
         assert "10x" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "variable, value", [("cache-size", "0"), ("user-count", "-3")]
+    )
+    def test_non_positive_sweep_value(self, kb_file, capsys, variable, value):
+        code = main(["sweep", "--kb", kb_file, "--variable", variable, "--values", value])
+        assert code == 2
+        assert "values" in capsys.readouterr().err
 
     def test_unknown_sweep_location(self, kb_file, capsys):
         code = main(
@@ -151,6 +188,16 @@ class TestConfigErrors:
         assert main(argv) == 0
         assert from_file == capsys.readouterr().out
         assert "prefetched bytes:        0\n" in from_file
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate"], ["sweep", "--variable", "cache-size", "--values", "100000"]],
+    )
+    def test_scenario_unknown_eviction(self, kb_file, trace_file, tmp_path, capsys, argv):
+        scen = tmp_path / "scenario.yaml"
+        scen.write_text(f"kb: {kb_file}\ntrace: {trace_file}\neviction: foo\n")
+        assert main(argv + ["--scenario", str(scen)]) == 2
+        assert "eviction" in capsys.readouterr().err
 
     def test_scenario_max_prefetch_not_integer(self, kb_file, trace_file, tmp_path, capsys):
         scen = tmp_path / "scenario.yaml"
@@ -214,7 +261,7 @@ class TestGenTrace:
 class TestValidateKb:
     def test_valid(self, kb_file, capsys):
         assert main(["validate-kb", "--kb", kb_file]) == 0
-        assert "2 entities" in capsys.readouterr().out
+        assert capsys.readouterr().out == "ok: 2 entities (2 persons, 0 TV series), 3 triples\n"
 
     def test_missing_size_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.triples"

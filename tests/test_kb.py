@@ -9,7 +9,6 @@ from semcache.kb import (
     MissingTypeError,
     ParseError,
     Predicate,
-    Triple,
     UnknownEntity,
     infer_next,
     load_knowledge_base,
@@ -38,9 +37,16 @@ class TestLoad:
     def test_counts(self):
         kb = small_kb()
         assert len(kb) == 3
-        relations = [t for t in kb.triples if t.predicate is not Predicate.TYPE_OF]
-        assert len(relations) == 3
-        assert sum(1 for t in relations if t.predicate is Predicate.SPOUSE) == 1
+        assert kb.objects_of("wiki/A", Predicate.SPOUSE) == ("wiki/B",)
+        assert kb.relations == {
+            Predicate.SPOUSE: {"wiki/A": ("wiki/B",)},
+            Predicate.STARRING: {"wiki/S": ("wiki/A", "wiki/B")},
+        }
+        assert kb.kinds == {
+            "wiki/A": EntityKind.PERSON,
+            "wiki/B": EntityKind.PERSON,
+            "wiki/S": EntityKind.TV_SERIES,
+        }
 
     def test_empty_file(self):
         kb = load_knowledge_base(io.StringIO(""))
@@ -72,6 +78,8 @@ class TestLoad:
             '"wiki/A" size many',
             '"wiki/A" type Robot',
             '"wiki/A" knows "wiki/B"',
+            '"" spouse "wiki/B"',
+            '"wiki/A" spouse ""',
         ],
     )
     def test_bad_lines(self, line):
@@ -84,7 +92,8 @@ class TestLoad:
         kb1 = load_knowledge_base(io.StringIO("\n".join(doubled)))
         kb2 = load_knowledge_base(io.StringIO("\n".join(reversed(lines))))
         kb3 = small_kb()
-        assert kb1.triples == kb2.triples == kb3.triples
+        assert kb1.relations == kb2.relations == kb3.relations
+        assert kb1.kinds == kb2.kinds == kb3.kinds
         assert kb1.sizes == kb2.sizes == kb3.sizes
 
     def test_conflicting_type_rejected(self):
@@ -137,8 +146,3 @@ class TestInference:
     def test_null_inference(self):
         kb = small_kb()
         assert null_inference(kb, kb.describe("wiki/A")) == []
-
-
-def test_triple_requires_non_empty_fields():
-    with pytest.raises(ValueError):
-        Triple("", Predicate.SPOUSE, "wiki/B")
