@@ -66,12 +66,6 @@ class CacheStats:
             return 0.0
         return (self.prefetched_bytes - self.prefetched_bytes_hit) / self.prefetched_bytes
 
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        out["hit_ratio"] = self.hit_ratio
-        out["useless_prefetch_ratio"] = self.useless_prefetch_ratio
-        return out
-
 
 class Cache:
     """Single-writer byte-capacity cache with LRU or FIFO eviction."""

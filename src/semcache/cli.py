@@ -8,19 +8,22 @@ Subcommands:
     validate-kb  parse a knowledge base file and report its contents
     codec        encode a descriptor to header hex, or decode header hex
 
-Scenario files are flat YAML key-value mappings; command-line flags
-override scenario values and unknown keys are rejected.  ``SEMCACHE_SEED``
-is used when no seed is given anywhere else.
+Scenario files are flat YAML key-value mappings; unknown keys are rejected.
+Flags override file values; both are read by one reader per key (``SETTINGS``)
+and a bad value exits 2.  ``SEMCACHE_SEED`` is used when no seed is given.
 """
 
 from __future__ import annotations
 
 import argparse
+import enum
 import io
 import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
+from typing import Callable, NamedTuple, Optional
 
 import yaml
 
@@ -34,10 +37,10 @@ from semcache.experiments import (
     summary_table,
     write_csv,
 )
-from semcache.kb import KnowledgeBaseError, load_knowledge_base
+from semcache.kb import load_knowledge_base
 from semcache.metrics import MetricsReport
-from semcache.sim import CacheLocation, LinkSpec, Mode, Topology, run_simulation
-from semcache.workload import SyntheticSpec, WorkloadError, generate_trace, load_trace, save_trace
+from semcache.sim import CacheLocation, Mode, Topology, run_simulation
+from semcache.workload import SyntheticSpec, generate_trace, load_trace, save_trace
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -51,14 +54,6 @@ class ConfigError(Exception):
 
 
 _LINKS = ("ue_enb", "enb_sgw", "sgw_pgw", "pgw_inet")
-
-_SCENARIO_KEYS = frozenset(
-    {
-        "kb", "trace", "mode", "cache_location", "cache_size", "cells", "eviction",
-        "seed", "max_prefetch", "n_users", "p_follow", "gap_ms", "requests_per_user",
-    }
-    | {f"{link}_{param}" for link in _LINKS for param in ("delay_ms", "bandwidth")}
-)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -75,115 +70,147 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _load_scenario_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    if not os.path.exists(path):
-        raise ConfigError("scenario", f"file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh) or {}
-    if not isinstance(data, dict):
-        raise ConfigError("scenario", "scenario file must be a key-value mapping")
-    unknown = sorted(str(key) for key in data if key not in _SCENARIO_KEYS)
-    if unknown:
-        raise ConfigError("scenario", f"unknown key(s): {', '.join(unknown)}")
-    return data
+def _int(raw) -> int:
+    # Through str, so that 1.5 and true are refused instead of truncated.
+    return int(str(raw))
 
 
-def _resolve(args: argparse.Namespace, key: str, scenario: dict, default=None):
-    """Command-line value if given, else scenario-file value, else default."""
-    attr = key.replace("-", "_")
-    value = getattr(args, attr, None)
-    if value is not None:
-        return value
-    if attr in scenario:
-        return scenario[attr]
-    return default
-
-
-def _int(field: str, raw) -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(field, f"must be an integer, got {raw!r}") from None
-
-
-def _resolve_seed(args, scenario) -> int:
-    seed = _resolve(args, "seed", scenario)
-    if seed is not None:
-        return _int("seed", seed)
-    env = os.environ.get("SEMCACHE_SEED")
-    return _int("SEMCACHE_SEED", env) if env else 0
-
-
-def _resolve_max_prefetch(args, scenario) -> int | None:
-    raw = _resolve(args, "max-prefetch", scenario)
-    if raw is None:
-        return None
-    value = _int("max_prefetch", raw)
+def _count(raw) -> int:
+    value = _int(raw)
     if value < 0:
-        raise ConfigError("max_prefetch", f"must be >= 0, got {value}")
+        raise ValueError("must be >= 0")
     return value
 
 
-def _resolve_eviction(args, scenario) -> str:
-    raw = _resolve(args, "eviction", scenario, "lru")
+def _float(raw) -> float:
+    return float(str(raw))
+
+
+def _text(raw) -> str:
+    if not isinstance(raw, str):
+        raise TypeError("must be a string")
+    return raw
+
+
+def _range(read: Callable):
+    def pair(raw) -> tuple:
+        if not isinstance(raw, list) or len(raw) != 2:
+            raise ValueError("must be a [lo, hi] pair")
+        return read(raw[0]), read(raw[1])
+
+    return pair
+
+
+def _gap(raw):
+    return _range(_float)(raw) if isinstance(raw, list) else _float(raw)
+
+
+def _member(kind: type[enum.Enum]):
+    return lambda raw: kind(str(raw).lower())
+
+
+def _eviction(raw) -> str:
     value = str(raw).lower()
     if value not in ("lru", "fifo"):
-        raise ConfigError("eviction", f"must be lru or fifo, got {raw!r}")
+        raise ValueError("must be lru or fifo")
     return value
 
 
-def _resolve_path(args, scenario, key: str) -> str:
-    path = _resolve(args, key, scenario)
+class _Key(NamedTuple):
+    read: Callable
+    help: Optional[str] = None  # the flag's help; None: scenario file only
+
+
+# Every scenario key.  A flag ``--a-b`` sets key ``a_b``.
+SETTINGS: dict[str, _Key] = {
+    "kb": _Key(_text, "knowledge base triples file"),
+    "trace": _Key(_text, "request trace CSV"),
+    "mode": _Key(_member(Mode), "caching mode (default: semantic)"),
+    "cache_location": _Key(
+        _member(CacheLocation),
+        f"where the cache sits (default: {Topology.cache_location.value})",
+    ),
+    "cache_size": _Key(_int, f"cache capacity in bytes (default: {Topology.cache_capacity})"),
+    "cells": _Key(_int, f"number of eNodeB cells (default: {Topology.cells})"),
+    "eviction": _Key(_eviction, "eviction policy (default: lru)"),
+    "seed": _Key(_int, "RNG seed (default: SEMCACHE_SEED or 0)"),
+    "max_prefetch": _Key(_count, "cap prefetches per request (default: unlimited)"),
+    "n_users": _Key(_int, "users in the synthetic workload (default: 20)"),
+    "p_follow": _Key(_float, f"follow probability (default: {SyntheticSpec.p_follow})"),
+    "gap_ms": _Key(_gap),
+    "requests_per_user": _Key(_range(_int)),
+    **{f"{link}_delay_ms": _Key(_float) for link in _LINKS},
+    **{f"{link}_bandwidth": _Key(_float) for link in _LINKS},
+}
+
+
+def _read(key: str, raw, field: Optional[str] = None):
+    try:
+        return SETTINGS[key].read(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(field or key, f"cannot read {raw!r}: {exc}") from None
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """The scenario file's values overlaid by the flags given, each read once."""
+    raw: dict = {}
+    if args.scenario is not None:
+        if not os.path.exists(args.scenario):
+            raise ConfigError("scenario", f"file not found: {args.scenario}")
+        with open(args.scenario, encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh) or {}
+        if not isinstance(raw, dict):
+            raise ConfigError("scenario", "scenario file must be a key-value mapping")
+        unknown = sorted(str(key) for key in raw if key not in SETTINGS)
+        if unknown:
+            raise ConfigError("scenario", f"unknown key(s): {', '.join(unknown)}")
+    raw.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
+    settings = {key: _read(key, value) for key, value in raw.items() if value is not None}
+    env_seed = os.environ.get("SEMCACHE_SEED")
+    if "seed" not in settings and env_seed:
+        settings["seed"] = _read("seed", env_seed, "SEMCACHE_SEED")
+    return settings
+
+
+def _replace(field: str, base, settings: dict, fields: dict[str, str], **more):
+    """``base`` with the given settings among ``fields`` (key: attribute)."""
+    given = {attr: settings[key] for key, attr in fields.items() if key in settings}
+    try:
+        return replace(base, **given, **more)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from None
+
+
+def _topology(settings: dict) -> Topology:
+    base = Topology()
+    links = {}
+    for link in _LINKS:
+        delay, bandwidth = f"{link}_delay_ms", f"{link}_bandwidth"
+        fields = {delay: "propagation_delay_ms", bandwidth: "bandwidth_bytes_per_ms"}
+        links[link] = _replace(link, getattr(base, link), settings, fields)
+    fields = {"cells": "cells", "cache_location": "cache_location", "cache_size": "cache_capacity"}
+    return _replace("topology", base, settings, fields, **links)
+
+
+def _workload(settings: dict) -> SyntheticSpec:
+    keys = ("n_users", "requests_per_user", "p_follow", "gap_ms", "seed")
+    fields = {key: key for key in keys} | {"cells": "n_cells"}
+    # SyntheticSpec has no default user count; the CLI's is 20.
+    return _replace("workload", SyntheticSpec(n_users=20), settings, fields)
+
+
+def _run_options(settings: dict) -> dict:
+    """The ``eviction`` and ``max_prefetch`` given; the library has the defaults."""
+    return {key: settings[key] for key in ("eviction", "max_prefetch") if key in settings}
+
+
+def _path(settings: dict, key: str) -> str:
+    path = settings.get(key)
     if path is None:
         raise ConfigError(key, "no value given on the command line or in the scenario file")
     if not os.path.exists(path):
         raise ConfigError(key, f"file not found: {path}")
-    return str(path)
-
-
-def _link(scenario: dict, name: str, default: LinkSpec) -> LinkSpec:
-    delay = scenario.get(f"{name}_delay_ms", default.propagation_delay_ms)
-    bw = scenario.get(f"{name}_bandwidth", default.bandwidth_bytes_per_ms)
-    try:
-        return LinkSpec(float(delay), float(bw))
-    except ValueError as exc:
-        raise ConfigError(name, str(exc)) from None
-
-
-def _cache_location(field: str, raw) -> CacheLocation:
-    try:
-        return CacheLocation(str(raw).lower())
-    except ValueError:
-        raise ConfigError(field, f"must be one of enodeb/sgw/pgw, got {raw!r}") from None
-
-
-def _build_topology(args, scenario: dict) -> Topology:
-    defaults = Topology()
-    location = _resolve(args, "cache-location", scenario, defaults.cache_location.value)
-    loc = _cache_location("cache_location", location)
-    capacity = _resolve(args, "cache-size", scenario, defaults.cache_capacity)
-    cells = _resolve(args, "cells", scenario, defaults.cells)
-    try:
-        return Topology(
-            cells=int(cells),
-            **{link: _link(scenario, link, getattr(defaults, link)) for link in _LINKS},
-            cache_location=loc,
-            cache_capacity=int(capacity),
-        )
-    except ValueError as exc:
-        raise ConfigError("topology", str(exc)) from None
-
-
-def _resolve_mode(args, scenario) -> Mode:
-    raw = _resolve(args, "mode", scenario, Mode.SEMANTIC.value)
-    try:
-        return Mode(str(raw).lower())
-    except ValueError:
-        raise ConfigError(
-            "mode", f"must be semantic or traditional, got {raw!r}"
-        ) from None
+    return path
 
 
 def _report_lines(report: MetricsReport) -> str:
@@ -201,19 +228,16 @@ def _report_lines(report: MetricsReport) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = _load_scenario_file(args.scenario)
-    kb_path = _resolve_path(args, scenario, "kb")
-    trace_path = _resolve_path(args, scenario, "trace")
-    topology = _build_topology(args, scenario)
-    mode = _resolve_mode(args, scenario)
-    seed = _resolve_seed(args, scenario)
-    eviction = _resolve_eviction(args, scenario)
-    max_prefetch = _resolve_max_prefetch(args, scenario)
+    settings = _settings(args)
+    kb_path = _path(settings, "kb")
+    trace_path = _path(settings, "trace")
+    topology = _topology(settings)
+    mode = settings.get("mode", Mode.SEMANTIC)
 
     kb = load_knowledge_base(kb_path)
     trace = load_trace(trace_path)
     report, records = run_simulation(
-        topology, kb, trace, mode, seed, eviction=eviction, max_prefetch=max_prefetch
+        topology, kb, trace, mode, settings.get("seed", 0), **_run_options(settings)
     )
 
     if args.out:
@@ -243,32 +267,19 @@ def _record_dict(r) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from semcache.experiments import run_sweep
 
-    scenario = _load_scenario_file(args.scenario)
-    kb_path = _resolve_path(args, scenario, "kb")
-    topology = _build_topology(args, scenario)
-    seed = _resolve_seed(args, scenario)
-
-    try:
-        variable = SweepVariable(args.variable.replace("-", "_"))
-    except ValueError:
-        raise ConfigError("variable", f"unknown sweep variable {args.variable!r}") from None
-
-    values: tuple
-    if variable is SweepVariable.CACHE_LOCATION:
-        values = tuple(_cache_location("values", v) for v in args.values)
-    else:
-        values = tuple(_int("values", v) for v in args.values)
+    settings = _settings(args)
+    kb_path = _path(settings, "kb")
+    variable = SweepVariable(args.variable.replace("-", "_"))
+    # A user-count sweep varies n_users; the others are named after their key.
+    key = "n_users" if variable is SweepVariable.USER_COUNT else variable.value
+    values = tuple(_read(key, v, "values") for v in args.values)
+    if variable is not SweepVariable.CACHE_LOCATION:
         bad = [v for v in values if v <= 0]
         if bad:
             raise ConfigError("values", f"{variable.value} must be positive, got {bad[0]}")
 
-    scenario_spec = Scenario(
-        topology=topology,
-        workload=_workload_from(args, scenario),
-        eviction=_resolve_eviction(args, scenario),
-        max_prefetch=_resolve_max_prefetch(args, scenario),
-    )
-    spec = SweepSpec(variable=variable, values=values, scenario=scenario_spec, seed=seed)
+    scenario = Scenario(_topology(settings), workload=_workload(settings), **_run_options(settings))
+    spec = SweepSpec(variable, values, scenario, seed=settings.get("seed", 0))
     points = run_sweep(spec, load_knowledge_base(kb_path))
     if args.out:
         sink = io.StringIO()
@@ -278,32 +289,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _workload_from(args, scenario: dict) -> SyntheticSpec:
-    try:
-        gap = scenario.get("gap_ms", (2000.0, 8000.0))
-        if isinstance(gap, list):
-            gap = tuple(float(g) for g in gap)
-        rpu = scenario.get("requests_per_user", (20, 30))
-        if isinstance(rpu, list):
-            rpu = tuple(int(r) for r in rpu)
-        return SyntheticSpec(
-            n_users=int(_resolve(args, "n-users", scenario, scenario.get("n_users", 20))),
-            requests_per_user=rpu,
-            p_follow=float(_resolve(args, "p-follow", scenario, scenario.get("p_follow", 0.6))),
-            gap_ms=gap,
-            seed=_resolve_seed(args, scenario),
-            n_cells=int(_resolve(args, "cells", scenario, 1)),
-        )
-    except ValueError as exc:
-        raise ConfigError("workload", str(exc)) from None
-
-
 def cmd_gen_trace(args: argparse.Namespace) -> int:
-    scenario = _load_scenario_file(args.scenario)
-    kb_path = _resolve_path(args, scenario, "kb")
-    kb = load_knowledge_base(kb_path)
-    spec = _workload_from(args, scenario)
-    trace = generate_trace(kb, spec)
+    settings = _settings(args)
+    spec = _workload(settings)
+    trace = generate_trace(load_knowledge_base(_path(settings, "kb")), spec)
     sink = io.StringIO()
     save_trace(trace, sink)
     if args.out:
@@ -315,9 +304,7 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_kb(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.kb):
-        raise ConfigError("kb", f"file not found: {args.kb}")
-    kb = load_knowledge_base(args.kb)
+    kb = load_knowledge_base(_path(vars(args), "kb"))
     persons = sum(1 for e in kb.entities() if kb.kind_of(e).name == "PERSON")
     # One triple per distinct relation line and one per type declaration.
     triples = len(kb.kinds) + sum(
@@ -369,55 +356,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_settings(p, *keys):
         p.add_argument("--scenario", help="flat YAML scenario file (default: none)")
-        p.add_argument("--kb", help="knowledge base triples file")
-        p.add_argument("--seed", type=int, help="RNG seed (default: SEMCACHE_SEED or 0)")
-        p.add_argument("--cells", type=int, help="number of eNodeB cells (default: 1)")
-        p.add_argument(
-            "--cache-location",
-            choices=["enodeb", "sgw", "pgw"],
-            help="where the cache sits (default: enodeb)",
-        )
-        p.add_argument(
-            "--cache-size", type=int, help="cache capacity in bytes (default: 20000000)"
-        )
+        for key in ("kb", "seed", "cells", "cache_location", "cache_size", *keys):
+            p.add_argument("--" + key.replace("_", "-"), help=SETTINGS[key].help)
 
     p_sim = sub.add_parser("simulate", help="run one simulation")
-    add_common(p_sim)
-    p_sim.add_argument("--trace", help="request trace CSV")
-    p_sim.add_argument(
-        "--mode", choices=["semantic", "traditional"], help="caching mode (default: semantic)"
-    )
-    p_sim.add_argument("--eviction", choices=["lru", "fifo"], help="eviction policy (default: lru)")
-    p_sim.add_argument("--max-prefetch", type=int, help="cap prefetches per request (default: unlimited)")
+    add_settings(p_sim, "trace", "mode", "eviction", "max_prefetch")
     p_sim.add_argument("--out", help="metrics CSV output path")
     p_sim.add_argument("--records", help="per-request JSON-lines output path")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep in both modes")
-    add_common(p_sweep)
+    add_settings(p_sweep, "n_users", "p_follow")
     p_sweep.add_argument(
         "--variable",
         required=True,
-        choices=["user-count", "cache-size", "cache-location"],
+        choices=[v.value.replace("_", "-") for v in SweepVariable],
         help="swept parameter",
     )
     p_sweep.add_argument("--values", nargs="+", required=True, help="sweep values")
-    p_sweep.add_argument("--n-users", type=int, help="users in the synthetic workload (default: 20)")
-    p_sweep.add_argument("--p-follow", type=float, help="follow probability (default: 0.6)")
     p_sweep.add_argument("--out", help="results CSV output path")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_gen = sub.add_parser("gen-trace", help="generate a synthetic trace CSV")
-    add_common(p_gen)
-    p_gen.add_argument("--n-users", type=int, help="number of users (default: 20)")
-    p_gen.add_argument("--p-follow", type=float, help="follow probability (default: 0.6)")
+    add_settings(p_gen, "n_users", "p_follow")
     p_gen.add_argument("--out", help="trace CSV output path (default: stdout)")
     p_gen.set_defaults(func=cmd_gen_trace)
 
     p_val = sub.add_parser("validate-kb", help="parse and validate a knowledge base file")
-    p_val.add_argument("--kb", required=True, help="knowledge base triples file")
+    p_val.add_argument("--kb", required=True, help=SETTINGS["kb"].help)
     p_val.set_defaults(func=cmd_validate_kb)
 
     p_codec = sub.add_parser("codec", help="hop-by-hop header debugging")
@@ -440,9 +408,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    except (KnowledgeBaseError, WorkloadError, codec_mod.CodecError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_RUNTIME
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RUNTIME

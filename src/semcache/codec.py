@@ -127,10 +127,6 @@ class HopByHopOption:
         if len(self.data) > MAX_OPTION_DATA:
             raise ValueError(f"option data exceeds {MAX_OPTION_DATA} bytes")
 
-    @property
-    def is_padding(self) -> bool:
-        return self.type in (OPT_PAD1, OPT_PADN)
-
 
 @dataclass(frozen=True)
 class HopByHopHeader:

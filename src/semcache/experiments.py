@@ -16,7 +16,7 @@ from typing import Optional, Sequence, TextIO
 from semcache.kb import KnowledgeBase
 from semcache.metrics import MetricsReport
 from semcache.sim import CacheLocation, Mode, Topology, run_simulation
-from semcache.workload import SyntheticSpec, TraceEntry, generate_trace
+from semcache.workload import SyntheticSpec, generate_trace
 
 
 class ExperimentError(Exception):
@@ -38,14 +38,9 @@ class Scenario:
     """Fixed parameters shared by all points of a sweep."""
 
     topology: Topology
-    workload: Optional[SyntheticSpec] = None
-    trace: Optional[Sequence[TraceEntry]] = None
+    workload: SyntheticSpec
     eviction: str = "lru"
     max_prefetch: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if (self.workload is None) == (self.trace is None):
-            raise ValueError("exactly one of workload or trace must be given")
 
 
 @dataclass(frozen=True)
@@ -60,12 +55,6 @@ class SweepSpec:
             raise ValueError("sweep needs at least one value")
 
 
-# Default grids for the three sweeps.
-DEFAULT_USER_COUNTS = (1, 2, 5, 10, 20)
-DEFAULT_CACHE_SIZES = tuple(mb * 1_000_000 for mb in (5, 10, 20, 50, 100))
-DEFAULT_CACHE_LOCATIONS = (CacheLocation.ENODEB, CacheLocation.SGW, CacheLocation.PGW)
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     value: object
@@ -75,8 +64,6 @@ class SweepPoint:
 
 def _apply(scenario: Scenario, variable: SweepVariable, value) -> Scenario:
     if variable is SweepVariable.USER_COUNT:
-        if scenario.workload is None:
-            raise ExperimentError("user-count sweep requires a synthetic workload")
         return replace(scenario, workload=replace(scenario.workload, n_users=int(value)))
     if variable is SweepVariable.CACHE_SIZE:
         topo = replace(scenario.topology, cache_capacity=int(value))
@@ -94,11 +81,7 @@ def run_sweep(spec: SweepSpec, kb: KnowledgeBase) -> list[SweepPoint]:
     for value in spec.values:
         try:
             scen = _apply(spec.scenario, spec.variable, value)
-            if scen.trace is not None:
-                trace = scen.trace
-            else:
-                workload = replace(scen.workload, seed=spec.seed)
-                trace = generate_trace(kb, workload)
+            trace = generate_trace(kb, replace(scen.workload, seed=spec.seed))
             for mode in (Mode.SEMANTIC, Mode.TRADITIONAL):
                 report, _ = run_simulation(
                     scen.topology,

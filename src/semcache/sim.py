@@ -66,7 +66,7 @@ class LinkSpec:
     bandwidth_bytes_per_ms: float
 
     def __post_init__(self) -> None:
-        if self.propagation_delay_ms < 0:
+        if not self.propagation_delay_ms >= 0:
             raise ValueError("propagation delay must be >= 0")
         if not self.bandwidth_bytes_per_ms > 0:
             raise ValueError("bandwidth must be > 0")
@@ -218,11 +218,10 @@ class _Simulation:
 
         n_caches = t.cells if per_cell else 1
         self.caches = [Cache(t.cache_capacity, eviction) for _ in range(n_caches)]
-        # Every cache, in-flight set and waiter list is keyed by entity IRI.
-        self.in_flight: list[set[str]] = [set() for _ in range(n_caches)]
-        self.waiters: list[dict[str, list[RequestRecord]]] = [
-            {} for _ in range(n_caches)
-        ]
+        # Per cache, keyed by entity IRI like the caches: a key is pending
+        # while its prefetch is in flight, and maps to the demand requests
+        # waiting for it.
+        self.pending: list[dict[str, list[RequestRecord]]] = [{} for _ in range(n_caches)]
 
         self.records: list[RequestRecord] = []
         self.origin_bytes = 0  # content bytes fetched from the origin
@@ -287,10 +286,10 @@ class _Simulation:
         entry = cache.lookup(key, t)
         if entry is not None:
             self._deliver(record, t, size, ServedFrom.CACHE)
-        elif key in self.in_flight[ci]:
+        elif key in self.pending[ci]:
             # An in-flight prefetch will bring this content; wait for it
             # instead of fetching again.
-            self.waiters[ci].setdefault(key, []).append(record)
+            self.pending[ci][key].append(record)
         else:
 
             def fetched(t_back: float) -> None:
@@ -331,21 +330,22 @@ class _Simulation:
             predictions = predictions[: self.max_prefetch]
         ci = route.cache
         cache = self.caches[ci]
+        pending = self.pending[ci]
         for predicted in predictions:
             key = predicted.entity_iri
-            if key in cache or key in self.in_flight[ci]:
+            if key in cache or key in pending:
                 continue
-            self.in_flight[ci].add(key)
+            pending[key] = []
             self._fetch(route, key, t, lambda tb, key=key: self._prefetched(ci, key, tb))
 
     def _prefetched(self, ci: int, key: str, t: float) -> None:
         cache = self.caches[ci]
         size = self.kb.sizes[key]
-        self.in_flight[ci].discard(key)
+        waiters = self.pending[ci].pop(key)
         # An object larger than the cache is rejected; its waiters are
         # still served, but there is no cached prefetch to credit.
         cached = cache.insert(key, size, ContentOrigin.PREFETCH, t)
-        for waiter in self.waiters[ci].pop(key, []):
+        for waiter in waiters:
             if cached:
                 cache.credit_prefetch_hit(key, t)
             self._deliver(waiter, t, size, ServedFrom.ORIGIN)

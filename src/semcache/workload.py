@@ -71,7 +71,7 @@ class SyntheticSpec:
             glo, ghi = self.gap_ms
             if not (0 <= glo <= ghi):
                 raise ValueError(f"bad gap range: {self.gap_ms}")
-        elif self.gap_ms < 0:
+        elif not self.gap_ms >= 0:
             raise ValueError("gap must be non-negative")
 
 

@@ -211,6 +211,43 @@ class TestConfigErrors:
         assert main(["simulate", "--scenario", str(scen)]) == 2
         assert "cache_sise" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key, value, name",
+        [
+            ("simulate", "requests_per_user", "5", "requests_per_user"),
+            ("simulate", "gap_ms", "abc", "gap_ms"),
+            ("simulate", "p_follow", "[1]", "p_follow"),
+            ("simulate", "ue_enb_delay_ms", "[1]", "ue_enb_delay_ms"),
+            ("simulate", "kb", "[kb.triples]", "kb"),
+            ("simulate", "cache_size", "1.7", "cache_size"),
+            ("simulate", "seed", "1.5", "seed"),
+            ("simulate", "max_prefetch", "1.9", "max_prefetch"),
+            ("simulate", "ue_enb_delay_ms", ".nan", "ue_enb"),
+            ("gen-trace", "gap_ms", ".nan", "gap"),
+            ("gen-trace", "mode", "foo", "mode"),
+        ],
+    )
+    def test_bad_scenario_value(
+        self, kb_file, trace_file, tmp_path, capsys, command, key, value, name
+    ):
+        scen = tmp_path / "scenario.yaml"
+        lines = {"kb": kb_file, "trace": trace_file, key: value}
+        scen.write_text("".join(f"{k}: {v}\n" for k, v in lines.items()))
+        assert main([command, "--scenario", str(scen)]) == 2
+        assert name in capsys.readouterr().err
+
+    def test_flag_read_like_file(self, kb_file, trace_file, tmp_path, capsys):
+        scen = tmp_path / "scenario.yaml"
+        scen.write_text(f"kb: {kb_file}\ntrace: {trace_file}\nmode: Traditional\n")
+        assert main(["simulate", "--scenario", str(scen)]) == 0
+        from_file = capsys.readouterr().out
+        argv = ["simulate", "--kb", kb_file, "--trace", trace_file]
+        assert main(argv + ["--mode", "Traditional"]) == 0
+        assert capsys.readouterr().out == from_file
+        assert "mode:                    traditional\n" in from_file
+        assert main(argv + ["--cache-size", "1.5"]) == 2
+        assert "cache_size" in capsys.readouterr().err
+
     def test_every_scenario_key_accepted(self, kb_file, trace_file, tmp_path):
         scen = tmp_path / "scenario.yaml"
         links = "".join(

@@ -134,8 +134,8 @@ class TestOutput:
 
 
 class TestScenarioValidation:
-    def test_requires_workload_or_trace(self):
-        with pytest.raises(ValueError):
+    def test_requires_workload(self):
+        with pytest.raises(TypeError):
             Scenario(topology=reference_topology())
 
     def test_empty_values_rejected(self):

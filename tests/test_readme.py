@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+import yaml
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -10,3 +12,15 @@ def test_quick_start_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     hit_ratios = [float(x) for x in capsys.readouterr().out.split()]
     assert len(hit_ratios) == 2 and all(0.0 <= h <= 1.0 for h in hit_ratios)
+
+
+def test_scenario_keys_match_cli():
+    from semcache.cli import SETTINGS
+
+    section = README.read_text(encoding="utf-8").split("### Scenario files", 1)[1]
+    block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    keys = set(yaml.safe_load(block))
+    links = re.search(r"Each of the four links (.*?) takes", section, re.S).group(1)
+    for link in re.findall(r"`(\w+)`", links):
+        keys |= {f"{link}_delay_ms", f"{link}_bandwidth"}
+    assert keys == set(SETTINGS)

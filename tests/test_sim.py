@@ -299,6 +299,13 @@ class TestNullInferenceEquivalence:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "delay, bandwidth", [(-1.0, 1250.0), (math.nan, 1250.0), (10.0, 0.0), (10.0, math.nan)]
+    )
+    def test_invalid_link(self, delay, bandwidth):
+        with pytest.raises(ValueError):
+            LinkSpec(delay, bandwidth)
+
     def test_unsorted_trace(self):
         kb = pair_kb()
         trace = [

@@ -143,6 +143,7 @@ class TestSpecValidation:
             {"n_users": 1, "requests_per_user": (5, 3)},
             {"n_users": 1, "gap_ms": (-1.0, 5.0)},
             {"n_users": 1, "n_cells": 0},
+            {"n_users": 1, "gap_ms": float("nan")},
         ],
     )
     def test_invalid_specs(self, kwargs):
