@@ -9,8 +9,9 @@ Subcommands:
     codec        encode a descriptor to header hex, or decode header hex
 
 Scenario files are flat YAML key-value mappings; unknown keys are rejected.
-Flags override file values; both are read by one reader per key (``SETTINGS``)
-and a bad value exits 2.  ``SEMCACHE_SEED`` is used when no seed is given.
+Flags override file values; both are read by one reader per key (``SETTINGS``),
+which also checks the value's range, and a bad value exits 2 naming its key.
+``SEMCACHE_SEED`` is used when no seed is given.
 """
 
 from __future__ import annotations
@@ -75,15 +76,27 @@ def _int(raw) -> int:
     return int(str(raw))
 
 
-def _count(raw) -> int:
-    value = _int(raw)
-    if value < 0:
-        raise ValueError("must be >= 0")
-    return value
-
-
 def _float(raw) -> float:
     return float(str(raw))
+
+
+def _within(read: Callable, ok: Callable[..., bool], rule: str):
+    """``read``, refusing values for which ``ok`` is false (NaN fails every rule)."""
+
+    def checked(raw):
+        value = read(raw)
+        if not ok(value):
+            raise ValueError(rule)
+        return value
+
+    return checked
+
+
+_positive_int = _within(_int, lambda v: v > 0, "must be > 0")
+_count = _within(_int, lambda v: v >= 0, "must be >= 0")
+_non_negative = _within(_float, lambda v: v >= 0, "must be >= 0")
+_positive = _within(_float, lambda v: v > 0, "must be > 0")
+_probability = _within(_float, lambda v: 0 <= v <= 1, "must be in [0, 1]")
 
 
 def _text(raw) -> str:
@@ -96,13 +109,16 @@ def _range(read: Callable):
     def pair(raw) -> tuple:
         if not isinstance(raw, list) or len(raw) != 2:
             raise ValueError("must be a [lo, hi] pair")
-        return read(raw[0]), read(raw[1])
+        lo, hi = read(raw[0]), read(raw[1])
+        if lo > hi:
+            raise ValueError("must have lo <= hi")
+        return lo, hi
 
     return pair
 
 
 def _gap(raw):
-    return _range(_float)(raw) if isinstance(raw, list) else _float(raw)
+    return _range(_non_negative)(raw) if isinstance(raw, list) else _non_negative(raw)
 
 
 def _member(kind: type[enum.Enum]):
@@ -130,17 +146,19 @@ SETTINGS: dict[str, _Key] = {
         _member(CacheLocation),
         f"where the cache sits (default: {Topology.cache_location.value})",
     ),
-    "cache_size": _Key(_int, f"cache capacity in bytes (default: {Topology.cache_capacity})"),
-    "cells": _Key(_int, f"number of eNodeB cells (default: {Topology.cells})"),
+    "cache_size": _Key(
+        _positive_int, f"cache capacity in bytes (default: {Topology.cache_capacity})"
+    ),
+    "cells": _Key(_positive_int, f"number of eNodeB cells (default: {Topology.cells})"),
     "eviction": _Key(_eviction, "eviction policy (default: lru)"),
     "seed": _Key(_int, "RNG seed (default: SEMCACHE_SEED or 0)"),
     "max_prefetch": _Key(_count, "cap prefetches per request (default: unlimited)"),
-    "n_users": _Key(_int, "users in the synthetic workload (default: 20)"),
-    "p_follow": _Key(_float, f"follow probability (default: {SyntheticSpec.p_follow})"),
+    "n_users": _Key(_positive_int, "users in the synthetic workload (default: 20)"),
+    "p_follow": _Key(_probability, f"follow probability (default: {SyntheticSpec.p_follow})"),
     "gap_ms": _Key(_gap),
-    "requests_per_user": _Key(_range(_int)),
-    **{f"{link}_delay_ms": _Key(_float) for link in _LINKS},
-    **{f"{link}_bandwidth": _Key(_float) for link in _LINKS},
+    "requests_per_user": _Key(_range(_positive_int)),
+    **{f"{link}_delay_ms": _Key(_non_negative) for link in _LINKS},
+    **{f"{link}_bandwidth": _Key(_positive) for link in _LINKS},
 }
 
 
@@ -172,13 +190,10 @@ def _settings(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _replace(field: str, base, settings: dict, fields: dict[str, str], **more):
+def _replace(base, settings: dict, fields: dict[str, str], **more):
     """``base`` with the given settings among ``fields`` (key: attribute)."""
     given = {attr: settings[key] for key, attr in fields.items() if key in settings}
-    try:
-        return replace(base, **given, **more)
-    except ValueError as exc:
-        raise ConfigError(field, str(exc)) from None
+    return replace(base, **given, **more)
 
 
 def _topology(settings: dict) -> Topology:
@@ -187,16 +202,16 @@ def _topology(settings: dict) -> Topology:
     for link in _LINKS:
         delay, bandwidth = f"{link}_delay_ms", f"{link}_bandwidth"
         fields = {delay: "propagation_delay_ms", bandwidth: "bandwidth_bytes_per_ms"}
-        links[link] = _replace(link, getattr(base, link), settings, fields)
+        links[link] = _replace(getattr(base, link), settings, fields)
     fields = {"cells": "cells", "cache_location": "cache_location", "cache_size": "cache_capacity"}
-    return _replace("topology", base, settings, fields, **links)
+    return _replace(base, settings, fields, **links)
 
 
 def _workload(settings: dict) -> SyntheticSpec:
     keys = ("n_users", "requests_per_user", "p_follow", "gap_ms", "seed")
     fields = {key: key for key in keys} | {"cells": "n_cells"}
     # SyntheticSpec has no default user count; the CLI's is 20.
-    return _replace("workload", SyntheticSpec(n_users=20), settings, fields)
+    return _replace(SyntheticSpec(n_users=20), settings, fields)
 
 
 def _run_options(settings: dict) -> dict:
@@ -273,10 +288,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # A user-count sweep varies n_users; the others are named after their key.
     key = "n_users" if variable is SweepVariable.USER_COUNT else variable.value
     values = tuple(_read(key, v, "values") for v in args.values)
-    if variable is not SweepVariable.CACHE_LOCATION:
-        bad = [v for v in values if v <= 0]
-        if bad:
-            raise ConfigError("values", f"{variable.value} must be positive, got {bad[0]}")
 
     scenario = Scenario(_topology(settings), workload=_workload(settings), **_run_options(settings))
     spec = SweepSpec(variable, values, scenario, seed=settings.get("seed", 0))

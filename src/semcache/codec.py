@@ -14,6 +14,7 @@ of metadata (7 full options of 255 bytes plus one of 245).
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 
 # Header size limits.
@@ -64,10 +65,13 @@ class EntityKind(enum.Enum):
     OTHER = 0x03
 
 
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
+
+
 def _check_iri(iri: str) -> None:
     if not iri:
         raise ValueError("entity_iri must be non-empty")
-    if any(ord(c) < 0x20 or ord(c) == 0x7F for c in iri):
+    if _CONTROL.search(iri):
         raise ValueError("entity_iri must not contain control characters")
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, TextIO
 from semcache.kb import KnowledgeBase
 from semcache.metrics import MetricsReport
 from semcache.sim import CacheLocation, Mode, Topology, run_simulation
-from semcache.workload import SyntheticSpec, generate_trace
+from semcache.workload import SyntheticSpec, TraceEntry, generate_trace
 
 
 class ExperimentError(Exception):
@@ -78,10 +78,15 @@ def _apply(scenario: Scenario, variable: SweepVariable, value) -> Scenario:
 def run_sweep(spec: SweepSpec, kb: KnowledgeBase) -> list[SweepPoint]:
     """Run both modes at every sweep value; points are keyed, order stable."""
     points: list[SweepPoint] = []
+    # Only a user-count sweep changes the workload; the others share one trace.
+    traces: dict[SyntheticSpec, list[TraceEntry]] = {}
     for value in spec.values:
         try:
             scen = _apply(spec.scenario, spec.variable, value)
-            trace = generate_trace(kb, replace(scen.workload, seed=spec.seed))
+            workload = replace(scen.workload, seed=spec.seed)
+            if workload not in traces:
+                traces[workload] = generate_trace(kb, workload)
+            trace = traces[workload]
             for mode in (Mode.SEMANTIC, Mode.TRADITIONAL):
                 report, _ = run_simulation(
                     scen.topology,

@@ -9,7 +9,10 @@ between the UE and the cache and those between the cache and the origin.
 Each link direction is a FIFO channel: a transfer occupies the channel for
 ``bytes / bandwidth`` ms and arrives ``propagation_delay`` ms after its
 transmission ends, so concurrent transfers queue behind each other but the
-two directions never interfere.
+two directions never interfere.  A message claims the first channel of
+its path when it is sent and each later one when the heap event of its
+arrival at that hop pops; each hop takes one sequence number, and events
+at equal times run in the order they were pushed.
 
 A request carries its metadata to the cache node; there the cache is
 consulted and, in Semantic mode, the inference policy fires (on hits and
@@ -25,7 +28,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from semcache.cache import Cache, ContentOrigin
 from semcache.codec import MetadataDescriptor, wire_size
@@ -150,30 +153,51 @@ class _Channel:
 _CACHE_DEPTH = {CacheLocation.ENODEB: 1, CacheLocation.SGW: 2, CacheLocation.PGW: 3}
 
 
+_Path = tuple[_Channel, ...]
+_Then = Callable[[float, Any], None]  # called as then(arrival time, arg)
+
+
 @dataclass(frozen=True)
 class _CellRoutes:
     """One cell's cache index and its channels, in travel order."""
 
     cache: int
-    access_up: tuple[_Channel, ...]
-    access_down: tuple[_Channel, ...]
-    origin_up: tuple[_Channel, ...]
-    origin_down: tuple[_Channel, ...]
+    access_up: _Path
+    access_down: _Path
+    origin_up: _Path
+    origin_down: _Path
 
 
 class _EventLoop:
+    """One heap of message hops.  An event ``(t, seq, channels, index, nbytes,
+    then, arg)`` has crossed ``channels[:index]`` by ``t``; popping it claims
+    the next channel, or after the last one calls ``then(t, arg)``."""
+
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Callable[[float], None]]] = []
+        self._heap: list[tuple] = []
         self._seq = 0
 
-    def at(self, time: float, fn: Callable[[float], None]) -> None:
-        heapq.heappush(self._heap, (time, self._seq, fn))
+    def push(
+        self, t: float, channels: _Path, index: int, nbytes: float, then: _Then, arg: Any
+    ) -> None:
+        heapq.heappush(self._heap, (t, self._seq, channels, index, nbytes, then, arg))
         self._seq += 1
 
+    def send(self, channels: _Path, t: float, nbytes: float, then: _Then, arg: Any) -> None:
+        """Claim the first channel at once, so that equal-time sends keep their order."""
+        self.push(channels[0].transfer(t, nbytes), channels, 1, nbytes, then, arg)
+
     def run(self) -> None:
-        while self._heap:
-            time, _, fn = heapq.heappop(self._heap)
-            fn(time)
+        heap = self._heap
+        pop, push = heapq.heappop, heapq.heappush
+        while heap:
+            time, _, channels, index, nbytes, then, arg = pop(heap)
+            if index < len(channels):
+                arrive = channels[index].transfer(time, nbytes)
+                push(heap, (arrive, self._seq, channels, index + 1, nbytes, then, arg))
+                self._seq += 1
+            else:
+                then(time, arg)
 
 
 class _Simulation:
@@ -226,27 +250,6 @@ class _Simulation:
         self.records: list[RequestRecord] = []
         self.origin_bytes = 0  # content bytes fetched from the origin
 
-    # -- path helpers -------------------------------------------------------
-
-    def _send(
-        self,
-        channels: Sequence[_Channel],
-        start: float,
-        nbytes: float,
-        on_arrival: Callable[[float], None],
-    ) -> None:
-        """Forward a message hop by hop; each hop claims its channel in
-        event-time order so FIFO contention is deterministic."""
-
-        def hop(index: int, t: float) -> None:
-            if index == len(channels):
-                on_arrival(t)
-                return
-            arrive = channels[index].transfer(t, nbytes)
-            self.loop.at(arrive, lambda tt: hop(index + 1, tt))
-
-        hop(0, start)
-
     # -- request lifecycle --------------------------------------------------
 
     def _request_bytes(self, iri: str) -> int:
@@ -265,62 +268,56 @@ class _Simulation:
                     f"trace entry {idx}: cell {entry.cell_id} outside topology"
                 )
             descriptor = self.kb.describe(entry.entity_iri)
-            record = RequestRecord(
-                idx, entry.user_id, entry.cell_id, descriptor, entry.time_ms
-            )
+            record = RequestRecord(idx, entry.user_id, entry.cell_id, descriptor, entry.time_ms)
             self.records.append(record)
-            self.loop.at(entry.time_ms, lambda t, r=record: self._issue(r, t))
+            up = self.routes[entry.cell_id].access_up
+            nbytes = self._request_bytes(entry.entity_iri)
+            self.loop.push(entry.time_ms, up, 0, nbytes, self._at_cache, record)
 
-    def _issue(self, record: RequestRecord, t: float) -> None:
-        route = self.routes[record.cell_id]
-        nbytes = self._request_bytes(record.descriptor.entity_iri)
-        self._send(route.access_up, t, nbytes, lambda tt: self._at_cache(record, tt))
-
-    def _at_cache(self, record: RequestRecord, t: float) -> None:
+    def _at_cache(self, t: float, record: RequestRecord) -> None:
         route = self.routes[record.cell_id]
         ci = route.cache
-        cache = self.caches[ci]
         key = record.descriptor.entity_iri
-        size = self.kb.sizes[key]
-
-        entry = cache.lookup(key, t)
-        if entry is not None:
-            self._deliver(record, t, size, ServedFrom.CACHE)
+        if self.caches[ci].lookup(key, t) is not None:
+            self._deliver(record, t, self.kb.sizes[key], ServedFrom.CACHE)
         elif key in self.pending[ci]:
             # An in-flight prefetch will bring this content; wait for it
             # instead of fetching again.
             self.pending[ci][key].append(record)
         else:
-
-            def fetched(t_back: float) -> None:
-                cache.insert(key, size, ContentOrigin.DEMAND, t_back)
-                self._deliver(record, t_back, size, ServedFrom.ORIGIN)
-
-            self._fetch(route, key, t, fetched)
+            self._fetch(route, key, t, self._fetched, record)
 
         if self.mode is Mode.SEMANTIC:
             self._launch_prefetches(record, route, t)
 
-    def _fetch(
-        self, route: _CellRoutes, key: str, t: float, arrived: Callable[[float], None]
-    ) -> None:
-        """Fetch ``key`` from the origin to the cell's cache node."""
+    def _fetch(self, route: _CellRoutes, key: str, t: float, arrived: _Then, arg: Any) -> None:
+        """Fetch ``key`` from the origin to the cell's cache node, then ``arrived(t, arg)``."""
+        fetch = (route.origin_down, self.kb.sizes[key], arrived, arg)
+        self.loop.send(route.origin_up, t, self._request_bytes(key), self._at_origin, fetch)
+
+    def _at_origin(self, t: float, fetch: tuple) -> None:
+        down, size, arrived, arg = fetch
+        self.origin_bytes += size
+        self.loop.send(down, t, size, arrived, arg)
+
+    def _fetched(self, t: float, record: RequestRecord) -> None:
+        """A demand fetch reached the cache node: cache it and deliver it."""
+        key = record.descriptor.entity_iri
         size = self.kb.sizes[key]
-
-        def at_origin(t_origin: float) -> None:
-            self.origin_bytes += size
-            self._send(route.origin_down, t_origin, size, arrived)
-
-        self._send(route.origin_up, t, self._request_bytes(key), at_origin)
+        self.caches[self.routes[record.cell_id].cache].insert(key, size, ContentOrigin.DEMAND, t)
+        self._deliver(record, t, size, ServedFrom.ORIGIN)
 
     def _deliver(
         self, record: RequestRecord, t: float, size: int, served_from: ServedFrom
     ) -> None:
-        def delivered(t_done: float) -> None:
-            record.completed_at = t_done
-            record.served_from = served_from
+        access_down = self.routes[record.cell_id].access_down
+        self.loop.send(access_down, t, size, self._delivered, (record, served_from))
 
-        self._send(self.routes[record.cell_id].access_down, t, size, delivered)
+    @staticmethod
+    def _delivered(t: float, delivery: tuple[RequestRecord, ServedFrom]) -> None:
+        record, served_from = delivery
+        record.completed_at = t
+        record.served_from = served_from
 
     # -- prefetch path ------------------------------------------------------
 
@@ -336,9 +333,10 @@ class _Simulation:
             if key in cache or key in pending:
                 continue
             pending[key] = []
-            self._fetch(route, key, t, lambda tb, key=key: self._prefetched(ci, key, tb))
+            self._fetch(route, key, t, self._prefetched, (ci, key))
 
-    def _prefetched(self, ci: int, key: str, t: float) -> None:
+    def _prefetched(self, t: float, prefetch: tuple[int, str]) -> None:
+        ci, key = prefetch
         cache = self.caches[ci]
         size = self.kb.sizes[key]
         waiters = self.pending[ci].pop(key)

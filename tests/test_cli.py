@@ -225,6 +225,18 @@ class TestConfigErrors:
             ("simulate", "ue_enb_delay_ms", ".nan", "ue_enb"),
             ("gen-trace", "gap_ms", ".nan", "gap"),
             ("gen-trace", "mode", "foo", "mode"),
+            # Every present key is range-checked and named, whatever the subcommand.
+            ("gen-trace", "cache_size", "0", "'cache_size'"),
+            ("simulate", "cells", "0", "'cells'"),
+            ("gen-trace", "n_users", "-1", "'n_users'"),
+            ("gen-trace", "ue_enb_delay_ms", ".nan", "'ue_enb_delay_ms'"),
+            ("simulate", "ue_enb_delay_ms", ".nan", "'ue_enb_delay_ms'"),
+            ("simulate", "pgw_inet_bandwidth", "0", "'pgw_inet_bandwidth'"),
+            ("simulate", "p_follow", "1.5", "'p_follow'"),
+            ("simulate", "gap_ms", ".nan", "'gap_ms'"),
+            ("gen-trace", "gap_ms", ".nan", "'gap_ms'"),
+            ("gen-trace", "gap_ms", "[5, 1]", "'gap_ms'"),
+            ("gen-trace", "requests_per_user", "[0, 3]", "'requests_per_user'"),
         ],
     )
     def test_bad_scenario_value(

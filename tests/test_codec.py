@@ -85,9 +85,15 @@ class TestEncode:
         with pytest.raises(ValueError):
             MetadataDescriptor("", EntityKind.PERSON)
 
-    def test_control_characters_rejected(self):
-        with pytest.raises(ValueError):
-            MetadataDescriptor("wiki/a\nb", EntityKind.PERSON)
+    @pytest.mark.parametrize("char", ["\x00", "\x1f", "\x7f"], ids=["x00", "x1f", "x7f"])
+    def test_control_characters_rejected(self, char):
+        with pytest.raises(ValueError, match="control characters"):
+            MetadataDescriptor(f"wiki/a{char}b", EntityKind.PERSON)
+
+    @pytest.mark.parametrize("char", [" ", "\x80", "ş"], ids=["x20", "x80", "letter"])
+    def test_boundary_characters_accepted(self, char):
+        iri = f"wiki/a{char}b"
+        assert MetadataDescriptor(iri, EntityKind.PERSON).entity_iri == iri
 
 
 class TestDecode:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from semcache import experiments
 from semcache.experiments import (
     Scenario,
     ScenarioMismatch,
@@ -67,6 +68,26 @@ class TestRunSweep:
         points = run_sweep(spec, kb)
         locations = {p.report.scenario["cache_location"] for p in points}
         assert locations == {"enodeb", "pgw"}
+
+    @pytest.mark.parametrize(
+        "variable, values, calls",
+        [
+            (SweepVariable.CACHE_LOCATION, tuple(CacheLocation), 1),
+            (SweepVariable.CACHE_SIZE, (1_000_000, 20_000_000), 1),
+            (SweepVariable.USER_COUNT, (2, 4, 6), 3),
+        ],
+    )
+    def test_one_trace_per_workload(self, kb, monkeypatch, variable, values, calls):
+        generated = []
+
+        def counting(kb, workload):
+            generated.append(workload)
+            return generate_trace(kb, workload)
+
+        monkeypatch.setattr(experiments, "generate_trace", counting)
+        scen = Scenario(topology=reference_topology(), workload=small_workload())
+        run_sweep(SweepSpec(variable, values, scen, seed=1), kb)
+        assert len(generated) == calls
 
     def test_failure_names_sweep_point(self, kb):
         scen = Scenario(topology=reference_topology(), workload=small_workload())

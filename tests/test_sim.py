@@ -13,6 +13,7 @@ from semcache.sim import (
     Topology,
     UnsortedTrace,
     _Channel,
+    _EventLoop,
     _Simulation,
     metadata_overhead,
     run_simulation,
@@ -53,6 +54,39 @@ class TestTransferTime:
     def test_negative_payload_rejected(self):
         with pytest.raises(ValueError):
             transfer_time(LinkSpec(10.0, 1000.0), -1)
+
+
+class TestEventLoop:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_arrival_is_chained_transfer(self, k):
+        specs = [LinkSpec(1.0 + i, 500.0 * (i + 1)) for i in range(k)]
+        expected = 3.0
+        for spec in specs:
+            expected = _Channel(spec).transfer(expected, 1200)
+        arrivals = []
+        loop = _EventLoop()
+        channels = tuple(_Channel(spec) for spec in specs)
+        loop.send(channels, 3.0, 1200, lambda t, arg: arrivals.append((t, arg)), "m")
+        loop.run()
+        assert arrivals == [(expected, "m")]
+
+    def test_equal_time_sends_arrive_in_send_order(self):
+        # Empty messages cross without queueing, so both arrive at 5 ms.
+        channels = (_Channel(LinkSpec(2.0, 1000.0)), _Channel(LinkSpec(3.0, 1000.0)))
+        arrivals = []
+        loop = _EventLoop()
+        for name in ("first", "second"):
+            loop.send(channels, 0.0, 0, lambda t, arg: arrivals.append((t, arg)), name)
+        loop.run()
+        assert arrivals == [(5.0, "first"), (5.0, "second")]
+
+    def test_equal_time_events_run_in_push_order(self):
+        ran = []
+        loop = _EventLoop()
+        for time, name in [(8.0, "late"), (7.0, "a"), (7.0, "b"), (7.0, "c")]:
+            loop.push(time, (), 0, 0, lambda t, arg: ran.append(arg), name)
+        loop.run()
+        assert ran == ["a", "b", "c", "late"]
 
 
 class TestSingleRequest:
