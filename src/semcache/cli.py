@@ -20,6 +20,7 @@ import argparse
 import enum
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -94,7 +95,7 @@ def _within(read: Callable, ok: Callable[..., bool], rule: str):
 
 _positive_int = _within(_int, lambda v: v > 0, "must be > 0")
 _count = _within(_int, lambda v: v >= 0, "must be >= 0")
-_non_negative = _within(_float, lambda v: v >= 0, "must be >= 0")
+_duration = _within(_float, lambda v: 0 <= v < math.inf, "must be finite and >= 0")
 _positive = _within(_float, lambda v: v > 0, "must be > 0")
 _probability = _within(_float, lambda v: 0 <= v <= 1, "must be in [0, 1]")
 
@@ -118,7 +119,7 @@ def _range(read: Callable):
 
 
 def _gap(raw):
-    return _range(_non_negative)(raw) if isinstance(raw, list) else _non_negative(raw)
+    return _range(_duration)(raw) if isinstance(raw, list) else _duration(raw)
 
 
 def _member(kind: type[enum.Enum]):
@@ -157,7 +158,7 @@ SETTINGS: dict[str, _Key] = {
     "p_follow": _Key(_probability, f"follow probability (default: {SyntheticSpec.p_follow})"),
     "gap_ms": _Key(_gap),
     "requests_per_user": _Key(_range(_positive_int)),
-    **{f"{link}_delay_ms": _Key(_non_negative) for link in _LINKS},
+    **{f"{link}_delay_ms": _Key(_duration) for link in _LINKS},
     **{f"{link}_bandwidth": _Key(_positive) for link in _LINKS},
 }
 

@@ -12,11 +12,15 @@ File format (UTF-8, line oriented, ``#`` comments):
     "<subject-iri>" starring "<object-iri>"
     "<iri>" type Person|TVSeries
     "<iri>" size <bytes>
+
+Fields are split and unquoted by POSIX shell rules (``shlex``), so a quoted
+IRI may hold spaces or ``\\"`` and a line may end in a ``# comment``.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -126,6 +130,25 @@ def null_inference(kb: KnowledgeBase, current: MetadataDescriptor) -> list[Metad
 
 InferencePolicy = Callable[[KnowledgeBase, MetadataDescriptor], list[MetadataDescriptor]]
 
+# A plain line: a quoted subject IRI, a lowercase keyword, then a quoted IRI
+# or an alphanumeric value.  Its quoted IRIs hold nothing ``shlex`` treats
+# specially (whitespace, quotes, backslashes, ``#``), so the three groups
+# are exactly the tokens ``shlex.split`` would return.
+_IRI = r'"([^\s"\'\\#]+)"'
+_PLAIN_LINE = re.compile(rf"{_IRI}[ \t]+([a-z]+)[ \t]+(?:{_IRI}|([A-Za-z0-9]+))")
+
+
+def _plain_tokens(line: str) -> tuple[str, str, str] | None:
+    """The three tokens of a plain line, or None for any other line.
+
+    Every line this returns None for goes through ``shlex.split``.
+    """
+    match = _PLAIN_LINE.fullmatch(line)
+    if match is None:
+        return None
+    subject, keyword, iri, bare = match.groups()
+    return subject, keyword, iri or bare
+
 
 def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> KnowledgeBase:
     """Parse the triple file format into a validated KnowledgeBase.
@@ -145,10 +168,12 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        try:
-            tokens = shlex.split(stripped, comments=True)
-        except ValueError as exc:
-            raise ParseError(line_no, f"bad quoting: {exc}") from None
+        tokens = _plain_tokens(stripped)
+        if tokens is None:
+            try:
+                tokens = shlex.split(stripped, comments=True)
+            except ValueError as exc:
+                raise ParseError(line_no, f"bad quoting: {exc}") from None
         if len(tokens) != 3:
             raise ParseError(line_no, f"expected 3 fields, got {len(tokens)}")
         subject, keyword, value = tokens

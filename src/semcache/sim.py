@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -69,8 +70,8 @@ class LinkSpec:
     bandwidth_bytes_per_ms: float
 
     def __post_init__(self) -> None:
-        if not self.propagation_delay_ms >= 0:
-            raise ValueError("propagation delay must be >= 0")
+        if not 0 <= self.propagation_delay_ms < math.inf:
+            raise ValueError("propagation delay must be finite and >= 0")
         if not self.bandwidth_bytes_per_ms > 0:
             raise ValueError("bandwidth must be > 0")
 

@@ -9,6 +9,7 @@ previous one (a spouse's page, a star's page).
 from __future__ import annotations
 
 import csv
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,10 +70,10 @@ class SyntheticSpec:
             raise ValueError("n_cells must be positive")
         if isinstance(self.gap_ms, tuple):
             glo, ghi = self.gap_ms
-            if not (0 <= glo <= ghi):
+            if not 0 <= glo <= ghi < math.inf:
                 raise ValueError(f"bad gap range: {self.gap_ms}")
-        elif not self.gap_ms >= 0:
-            raise ValueError("gap must be non-negative")
+        elif not 0 <= self.gap_ms < math.inf:
+            raise ValueError("gap must be finite and non-negative")
 
 
 CSV_HEADER = ["time_ms", "user_id", "cell_id", "entity_iri"]

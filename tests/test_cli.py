@@ -237,6 +237,12 @@ class TestConfigErrors:
             ("gen-trace", "gap_ms", ".nan", "'gap_ms'"),
             ("gen-trace", "gap_ms", "[5, 1]", "'gap_ms'"),
             ("gen-trace", "requests_per_user", "[0, 3]", "'requests_per_user'"),
+            # Delays and gaps must be finite.
+            ("simulate", "ue_enb_delay_ms", ".inf", "'ue_enb_delay_ms'"),
+            ("gen-trace", "pgw_inet_delay_ms", ".inf", "'pgw_inet_delay_ms'"),
+            ("simulate", "gap_ms", ".inf", "'gap_ms'"),
+            ("gen-trace", "gap_ms", ".inf", "'gap_ms'"),
+            ("gen-trace", "gap_ms", "[1, .inf]", "'gap_ms'"),
         ],
     )
     def test_bad_scenario_value(

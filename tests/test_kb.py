@@ -1,7 +1,11 @@
 import io
+import shlex
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import semcache
 from semcache.codec import EntityKind, MetadataDescriptor
 from semcache.kb import (
     KnowledgeBase,
@@ -10,10 +14,13 @@ from semcache.kb import (
     ParseError,
     Predicate,
     UnknownEntity,
+    _plain_tokens,
     infer_next,
     load_knowledge_base,
     null_inference,
 )
+
+REFERENCE_KB = Path(semcache.__file__).parent / "data" / "reference_kb.triples"
 
 SMALL_KB = """\
 # two married people and one series
@@ -100,6 +107,98 @@ class TestLoad:
         text = '"wiki/A" type Person\n"wiki/A" type TVSeries\n'
         with pytest.raises(ParseError):
             load_knowledge_base(io.StringIO(text))
+
+
+# Characters shlex treats specially (doubled, so they are drawn more often),
+# whitespace it does and does not split on, non-ASCII letters, plain ones.
+_TRICKY = "\"\"'\\\\##  \t\xa0şßaZz09/_-"
+
+
+def _quoted(text: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    return text.map(lambda t: f'"{t}"')
+
+
+# The five parts of a plain line: subject, separator, keyword, separator, value.
+_PLAIN_PARTS = [
+    _quoted(st.text("wiki/AZş_09-", min_size=1, max_size=8)),
+    st.sampled_from([" ", "\t", " \t"]),
+    st.text("abcxyz", min_size=1, max_size=6),
+    st.sampled_from([" ", "\t", " \t"]),
+    st.one_of(
+        _quoted(st.text("wiki/AZß_09-", min_size=1, max_size=8)),
+        st.text("aZ09", min_size=1, max_size=6),
+    ),
+]
+
+
+@st.composite
+def _near_plain(draw) -> str:
+    """A plain line with up to three characters inserted or overwritten."""
+    line = "".join(draw(part) for part in _PLAIN_PARTS)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(line)))
+        line = line[:i] + draw(st.sampled_from(_TRICKY)) + line[i + draw(st.integers(0, 1)) :]
+    return line
+
+
+class TestPlainTokens:
+    """The regex fast path either declines a line or agrees with ``shlex``."""
+
+    @given(line=st.one_of(st.text(_TRICKY, max_size=30), _near_plain()))
+    @example(line='"wiki/A"\ttype\tPerson')
+    @example(line='"wiki/A"\xa0type Person')
+    @example(line='"wiki/A" type\xa0Person')
+    @example(line='"wiki/#A" spouse "wiki/B"')
+    @example(line='"" spouse "wiki/B"')
+    @example(line='"wiki/A" size -5')
+    @settings(max_examples=1000, deadline=None)
+    def test_declines_or_matches_shlex(self, line):
+        tokens = _plain_tokens(line)
+        if tokens is not None:
+            assert tokens == tuple(shlex.split(line, comments=True))
+
+    @pytest.mark.parametrize(
+        "line, tokens",
+        [
+            ('"wiki/A" spouse "wiki/B"', ("wiki/A", "spouse", "wiki/B")),
+            ('"wiki/A"\ttype \t Person', ("wiki/A", "type", "Person")),
+            ('"wiki/ş_ß" size 40960', ("wiki/ş_ß", "size", "40960")),
+        ],
+    )
+    def test_plain_line_accepted(self, line, tokens):
+        assert _plain_tokens(line) == tokens
+
+    def test_every_reference_line_is_plain(self):
+        lines = REFERENCE_KB.read_text(encoding="utf-8").splitlines()
+        data = [l for l in map(str.strip, lines) if l and not l.startswith("#")]
+        assert len(data) == 700
+        assert all(_plain_tokens(l) == tuple(shlex.split(l, comments=True)) for l in data)
+
+
+class TestFallback:
+    """Lines the fast path declines load exactly as ``shlex`` reads them."""
+
+    @pytest.mark.parametrize(
+        "line, iri",
+        [
+            ('"wiki/A B" type Person', "wiki/A B"),
+            ('"wiki/A\\"B" type Person', 'wiki/A"B'),
+            ('"wiki/A" type Person # a comment', "wiki/A"),
+            ("'wiki/A' type Person", "wiki/A"),
+            ("wiki/A type Person", "wiki/A"),
+        ],
+    )
+    def test_declined_line_loads(self, line, iri):
+        assert _plain_tokens(line) is None
+        kb = load_knowledge_base(io.StringIO(f"{line}\n{shlex.quote(iri)} size 10\n"))
+        assert kb.kinds == {iri: EntityKind.PERSON}
+        assert kb.sizes == {iri: 10}
+
+    def test_bad_quoting_reports_line(self):
+        text = '"wiki/A" type Person\n"wiki/A spouse "wiki/B"\n'
+        with pytest.raises(ParseError, match="bad quoting") as exc:
+            load_knowledge_base(io.StringIO(text))
+        assert exc.value.line_no == 2
 
 
 class TestInference:

@@ -334,7 +334,8 @@ class TestNullInferenceEquivalence:
 
 class TestValidation:
     @pytest.mark.parametrize(
-        "delay, bandwidth", [(-1.0, 1250.0), (math.nan, 1250.0), (10.0, 0.0), (10.0, math.nan)]
+        "delay, bandwidth",
+        [(-1.0, 1250.0), (math.nan, 1250.0), (math.inf, 1250.0), (10.0, 0.0), (10.0, math.nan)],
     )
     def test_invalid_link(self, delay, bandwidth):
         with pytest.raises(ValueError):

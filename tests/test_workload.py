@@ -144,6 +144,8 @@ class TestSpecValidation:
             {"n_users": 1, "gap_ms": (-1.0, 5.0)},
             {"n_users": 1, "n_cells": 0},
             {"n_users": 1, "gap_ms": float("nan")},
+            {"n_users": 1, "gap_ms": float("inf")},
+            {"n_users": 1, "gap_ms": (1.0, float("inf"))},
         ],
     )
     def test_invalid_specs(self, kwargs):
