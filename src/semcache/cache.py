@@ -38,7 +38,6 @@ class CacheEntry:
     key: Hashable
     size: int
     origin: ContentOrigin
-    hit_count: int = 0
     # Set once the entry's bytes have been credited as a useful prefetch.
     prefetch_credited: bool = False
 
@@ -104,7 +103,6 @@ class Cache:
         if entry is None:
             return None
         self._stats.hits += 1
-        entry.hit_count += 1
         self._touch(entry)
         return entry
 

@@ -319,7 +319,7 @@ def cmd_validate_kb(args: argparse.Namespace) -> int:
     kb = load_knowledge_base(_path(vars(args), "kb"))
     persons = sum(1 for e in kb.entities() if kb.kind_of(e).name == "PERSON")
     # One triple per distinct relation line and one per type declaration.
-    triples = len(kb.kinds) + sum(
+    triples = len(kb.descriptors) + sum(
         len(objects) for by_subject in kb.relations.values() for objects in by_subject.values()
     )
     sys.stdout.write(

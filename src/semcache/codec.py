@@ -75,7 +75,7 @@ def _check_iri(iri: str) -> None:
         raise ValueError("entity_iri must not contain control characters")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetadataDescriptor:
     """Canonical semantic description of a request."""
 
@@ -201,7 +201,7 @@ class HopByHopHeader:
         return cls(wire[0], tuple(options))
 
 
-def _metadata_options(payload: bytes, option_type: int) -> list[HopByHopOption]:
+def _metadata_options(payload: bytes) -> list[HopByHopOption]:
     if not payload:
         raise EmptyMetadata("metadata payload is empty")
     if len(payload) > MAX_METADATA_BYTES:
@@ -209,7 +209,7 @@ def _metadata_options(payload: bytes, option_type: int) -> list[HopByHopOption]:
             f"metadata payload is {len(payload)} bytes, limit is {MAX_METADATA_BYTES}"
         )
     return [
-        HopByHopOption(option_type, payload[i : i + MAX_OPTION_DATA])
+        HopByHopOption(OPT_METADATA, payload[i : i + MAX_OPTION_DATA])
         for i in range(0, len(payload), MAX_OPTION_DATA)
     ]
 
@@ -223,28 +223,21 @@ def _padding(raw_size: int) -> list[HopByHopOption]:
     return [HopByHopOption(OPT_PADN, bytes(pad - 2))]
 
 
-def encode_metadata(
-    descriptor: MetadataDescriptor,
-    *,
-    option_type: int = OPT_METADATA,
-    next_header: int = DEFAULT_NEXT_HEADER,
-) -> HopByHopHeader:
+def encode_metadata(descriptor: MetadataDescriptor) -> HopByHopHeader:
     """Build a hop-by-hop header carrying the descriptor's canonical record.
 
     The record is split greedily into 255-byte options; PadN/Pad1 options
     bring the header to an 8-octet boundary.
     """
     payload = descriptor.to_bytes()
-    options = _metadata_options(payload, option_type)
+    options = _metadata_options(payload)
     raw = _FIXED_BYTES + sum(_TLV_OVERHEAD + len(o.data) for o in options)
-    return HopByHopHeader(next_header, tuple(options + _padding(raw)))
+    return HopByHopHeader(DEFAULT_NEXT_HEADER, tuple(options + _padding(raw)))
 
 
-def decode_metadata(
-    header: HopByHopHeader, *, option_type: int = OPT_METADATA
-) -> MetadataDescriptor:
+def decode_metadata(header: HopByHopHeader) -> MetadataDescriptor:
     """Recover the descriptor from a header, skipping padding options."""
-    chunks = [opt.data for opt in header.options if opt.type == option_type]
+    chunks = [opt.data for opt in header.options if opt.type == OPT_METADATA]
     if not chunks:
         raise NoMetadataOptions("header carries no metadata options")
     payload = b"".join(chunks)

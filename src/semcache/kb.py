@@ -1,10 +1,11 @@
 """Knowledge base over a people / TV-series domain.
 
-The knowledge base holds, for every entity, a kind (person or TV series),
-the byte size of the content its request returns and, per relation
-(``spouse`` or ``starring``), the entity's objects as a sorted tuple of
-IRIs.  One-hop inference predicts a user's next request: for a person, the
-pages of their spouses; for a TV series, the pages of its stars.
+The knowledge base holds, for every entity, one metadata descriptor (its
+IRI and kind, person or TV series, built once at load), the byte size of
+the content its request returns and, per relation (``spouse`` or
+``starring``), the entity's objects as a sorted tuple of IRIs.  One-hop
+inference predicts a user's next request: for a person, the pages of their
+spouses; for a TV series, the pages of its stars.
 
 File format (UTF-8, line oriented, ``#`` comments):
 
@@ -14,7 +15,8 @@ File format (UTF-8, line oriented, ``#`` comments):
     "<iri>" size <bytes>
 
 Fields are split and unquoted by POSIX shell rules (``shlex``), so a quoted
-IRI may hold spaces or ``\\"`` and a line may end in a ``# comment``.
+IRI may hold spaces or ``\\"`` and a line may end in a ``# comment``.  An
+IRI must not hold a control character (U+0000-U+001F or U+007F).
 """
 
 from __future__ import annotations
@@ -76,13 +78,14 @@ _RULE = {EntityKind.PERSON: Predicate.SPOUSE, EntityKind.TV_SERIES: Predicate.ST
 
 @dataclass
 class KnowledgeBase:
-    """Immutable-after-load per-entity kind, size and sorted relations.
+    """Immutable-after-load per-entity descriptor, size and sorted relations.
 
-    ``relations[predicate][subject]`` is the subject's objects under that
-    predicate, deduplicated and sorted by IRI.
+    ``descriptors[iri]`` is the one descriptor of that entity, shared by
+    every request for it.  ``relations[predicate][subject]`` is the
+    subject's objects under that predicate, deduplicated and sorted by IRI.
     """
 
-    kinds: dict[str, EntityKind] = field(default_factory=dict)
+    descriptors: dict[str, MetadataDescriptor] = field(default_factory=dict)
     sizes: dict[str, int] = field(default_factory=dict)
     relations: dict[Predicate, dict[str, tuple[str, ...]]] = field(default_factory=dict)
 
@@ -96,12 +99,13 @@ class KnowledgeBase:
         return iri in self.sizes
 
     def kind_of(self, iri: str) -> EntityKind:
-        if iri not in self.kinds:
-            raise UnknownEntity(iri)
-        return self.kinds[iri]
+        return self.describe(iri).entity_kind
 
     def describe(self, iri: str) -> MetadataDescriptor:
-        return MetadataDescriptor(iri, self.kind_of(iri))
+        try:
+            return self.descriptors[iri]
+        except KeyError:
+            raise UnknownEntity(iri) from None
 
     def objects_of(self, subject: str, predicate: Predicate) -> tuple[str, ...]:
         return self.relations.get(predicate, {}).get(subject, ())
@@ -115,8 +119,6 @@ def infer_next(kb: KnowledgeBase, current: MetadataDescriptor) -> list[MetadataD
     knowledge base wins over the kind carried in the descriptor.
     """
     iri = current.entity_iri
-    if iri not in kb:
-        raise UnknownEntity(iri)
     predicate = _RULE.get(kb.kind_of(iri))
     if predicate is None:
         return []
@@ -160,7 +162,7 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
             return load_knowledge_base(fh)
 
     objects: dict[str, dict[str, set[str]]] = {p.value: {} for p in Predicate}
-    kinds: dict[str, EntityKind] = {}
+    descriptors: dict[str, MetadataDescriptor] = {}
     sizes: dict[str, int] = {}
     referenced: dict[str, int] = {}  # iri -> first line referencing it
 
@@ -183,9 +185,14 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
             if value not in _KIND_NAMES:
                 raise ParseError(line_no, f"unknown kind {value!r}")
             kind = _KIND_NAMES[value]
-            if kinds.get(subject, kind) is not kind:
+            known = descriptors.get(subject)
+            if known is None:
+                try:
+                    descriptors[subject] = MetadataDescriptor(subject, kind)
+                except ValueError as exc:
+                    raise ParseError(line_no, str(exc)) from None
+            elif known.entity_kind is not kind:
                 raise ParseError(line_no, f"conflicting type for {subject!r}")
-            kinds[subject] = kind
             referenced.setdefault(subject, line_no)
         elif keyword == "size":
             try:
@@ -210,11 +217,11 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
     for iri in sorted(referenced):
         if iri not in sizes:
             raise MissingSizeError(iri, referenced[iri])
-        if iri not in kinds:
+        if iri not in descriptors:
             raise MissingTypeError(iri, referenced[iri])
 
     relations = {
         Predicate(name): {subject: tuple(sorted(objs)) for subject, objs in by_subject.items()}
         for name, by_subject in objects.items()
     }
-    return KnowledgeBase(kinds, sizes, relations)
+    return KnowledgeBase(descriptors, sizes, relations)

@@ -33,7 +33,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from semcache.cache import Cache, ContentOrigin
 from semcache.codec import MetadataDescriptor, wire_size
-from semcache.kb import InferencePolicy, KnowledgeBase, UnknownEntity, infer_next
+from semcache.kb import InferencePolicy, KnowledgeBase, infer_next
 from semcache.metrics import MetricsReport
 from semcache.workload import TraceEntry
 
@@ -262,13 +262,11 @@ class _Simulation:
             if prev_time is not None and entry.time_ms < prev_time:
                 raise UnsortedTrace(idx)
             prev_time = entry.time_ms
-            if entry.entity_iri not in self.kb:
-                raise UnknownEntity(entry.entity_iri)
+            descriptor = self.kb.describe(entry.entity_iri)
             if not 0 <= entry.cell_id < self.topology.cells:
                 raise SimulationError(
                     f"trace entry {idx}: cell {entry.cell_id} outside topology"
                 )
-            descriptor = self.kb.describe(entry.entity_iri)
             record = RequestRecord(idx, entry.user_id, entry.cell_id, descriptor, entry.time_ms)
             self.records.append(record)
             up = self.routes[entry.cell_id].access_up

@@ -79,7 +79,7 @@ class TestEncode:
 
     def test_empty_payload_rejected(self):
         with pytest.raises(EmptyMetadata):
-            _metadata_options(b"", OPT_METADATA)
+            _metadata_options(b"")
 
     def test_empty_iri_rejected(self):
         with pytest.raises(ValueError):
@@ -131,7 +131,7 @@ class TestDecode:
         # 15 payload bytes -> raw 19, padded to 24 with a 5-byte PadN.
         header = HopByHopHeader(
             6,
-            tuple(_metadata_options(bytes(payload), OPT_METADATA))
+            tuple(_metadata_options(bytes(payload)))
             + (HopByHopOption(OPT_PADN, bytes(3)),),
         )
         with pytest.raises(UnparseableMetadata):

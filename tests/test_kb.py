@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semcache
+from semcache.cli import main
 from semcache.codec import EntityKind, MetadataDescriptor
 from semcache.kb import (
     KnowledgeBase,
@@ -49,7 +50,7 @@ class TestLoad:
             Predicate.SPOUSE: {"wiki/A": ("wiki/B",)},
             Predicate.STARRING: {"wiki/S": ("wiki/A", "wiki/B")},
         }
-        assert kb.kinds == {
+        assert {iri: kb.kind_of(iri) for iri in kb.descriptors} == {
             "wiki/A": EntityKind.PERSON,
             "wiki/B": EntityKind.PERSON,
             "wiki/S": EntityKind.TV_SERIES,
@@ -100,13 +101,33 @@ class TestLoad:
         kb2 = load_knowledge_base(io.StringIO("\n".join(reversed(lines))))
         kb3 = small_kb()
         assert kb1.relations == kb2.relations == kb3.relations
-        assert kb1.kinds == kb2.kinds == kb3.kinds
+        assert kb1.descriptors == kb2.descriptors == kb3.descriptors
         assert kb1.sizes == kb2.sizes == kb3.sizes
 
     def test_conflicting_type_rejected(self):
         text = '"wiki/A" type Person\n"wiki/A" type TVSeries\n'
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="conflicting type") as exc:
             load_knowledge_base(io.StringIO(text))
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "line, plain",
+        [
+            ('"wiki/A\x01B" type Person', True),
+            ('"wiki/A\tB" type Person', False),
+        ],
+        ids=["plain-line", "shlex-line"],
+    )
+    def test_control_character_iri_fails_at_load(self, line, plain, tmp_path, capsys):
+        assert (_plain_tokens(line) is not None) is plain
+        text = f'"wiki/B" size 10\n{line}\n'
+        with pytest.raises(ParseError, match="control characters") as exc:
+            load_knowledge_base(io.StringIO(text))
+        assert exc.value.line_no == 2
+        path = tmp_path / "bad.triples"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate-kb", "--kb", str(path)]) == 1
+        assert "line 2: entity_iri must not contain control characters" in capsys.readouterr().err
 
 
 # Characters shlex treats specially (doubled, so they are drawn more often),
@@ -191,7 +212,7 @@ class TestFallback:
     def test_declined_line_loads(self, line, iri):
         assert _plain_tokens(line) is None
         kb = load_knowledge_base(io.StringIO(f"{line}\n{shlex.quote(iri)} size 10\n"))
-        assert kb.kinds == {iri: EntityKind.PERSON}
+        assert {i: kb.kind_of(i) for i in kb.descriptors} == {iri: EntityKind.PERSON}
         assert kb.sizes == {iri: 10}
 
     def test_bad_quoting_reports_line(self):
@@ -199,6 +220,21 @@ class TestFallback:
         with pytest.raises(ParseError, match="bad quoting") as exc:
             load_knowledge_base(io.StringIO(text))
         assert exc.value.line_no == 2
+
+
+class TestDescribe:
+    def test_one_descriptor_per_entity(self):
+        kb = small_kb()
+        for iri in kb.entities():
+            assert kb.describe(iri) is kb.describe(iri)
+            assert kb.describe(iri).entity_iri == iri
+
+    def test_unknown_entity(self):
+        kb = small_kb()
+        with pytest.raises(UnknownEntity):
+            kb.describe("wiki/Nope")
+        with pytest.raises(UnknownEntity):
+            kb.kind_of("wiki/Nope")
 
 
 class TestInference:
@@ -228,6 +264,7 @@ class TestInference:
             out2 = infer_next(kb, kb.describe(iri))
             assert out1 == out2
             assert all(d.entity_iri in kb for d in out1)
+            assert all(d is kb.describe(d.entity_iri) for d in out1)
 
     def test_multiple_spouses_all_returned(self):
         text = (
