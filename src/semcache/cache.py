@@ -53,17 +53,6 @@ class CacheStats:
     prefetched_bytes: int = 0
     prefetched_bytes_hit: int = 0
     used: int = 0
-    capacity: int = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    @property
-    def useless_prefetch_ratio(self) -> float:
-        if not self.prefetched_bytes:
-            return 0.0
-        return (self.prefetched_bytes - self.prefetched_bytes_hit) / self.prefetched_bytes
 
 
 class Cache:
@@ -78,7 +67,7 @@ class Cache:
         self.policy = policy
         self._entries: OrderedDict[Hashable, CacheEntry] = OrderedDict()
         self._clock = 0.0
-        self._stats = CacheStats(capacity=capacity)
+        self._stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)

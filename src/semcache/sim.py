@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -156,17 +157,25 @@ _CACHE_DEPTH = {CacheLocation.ENODEB: 1, CacheLocation.SGW: 2, CacheLocation.PGW
 
 _Path = tuple[_Channel, ...]
 _Then = Callable[[float, Any], None]  # called as then(arrival time, arg)
+_Waiters = list[RequestRecord]
 
 
 @dataclass(frozen=True)
 class _CellRoutes:
-    """One cell's cache index and its channels, in travel order."""
+    """One cell's cache node and its channels, in travel order.  ``pending``
+    maps each key whose prefetch is in flight to the requests waiting for it."""
 
-    cache: int
+    cache: Cache
+    pending: dict[str, _Waiters]
     access_up: _Path
     access_down: _Path
     origin_up: _Path
     origin_down: _Path
+
+
+# (route, key, origin, waiters): a demand miss waits alone, and a prefetch's
+# waiters are its ``pending`` list.
+_Fetch = tuple[_CellRoutes, str, ContentOrigin, _Waiters]
 
 
 class _EventLoop:
@@ -226,27 +235,25 @@ class _Simulation:
         depth = _CACHE_DEPTH[t.cache_location]
         shared_up = (_Channel(t.sgw_pgw), _Channel(t.pgw_inet))
         shared_down = (_Channel(t.sgw_pgw), _Channel(t.pgw_inet))
+        n_caches = t.cells if per_cell else 1
+        self.caches = [Cache(t.cache_capacity, eviction) for _ in range(n_caches)]
+        pending: list[dict[str, _Waiters]] = [{} for _ in range(n_caches)]
         self.routes: list[_CellRoutes] = []
         for cell in range(t.cells):
+            node = cell if per_cell else 0
             # Both chains run from the UE outwards.
             up = (_Channel(t.ue_enb), _Channel(t.enb_sgw), *shared_up)
             down = (_Channel(t.ue_enb), _Channel(t.enb_sgw), *shared_down)
             self.routes.append(
                 _CellRoutes(
-                    cache=cell if per_cell else 0,
+                    cache=self.caches[node],
+                    pending=pending[node],
                     access_up=up[:depth],
                     access_down=down[:depth][::-1],
                     origin_up=up[depth:],
                     origin_down=down[depth:][::-1],
                 )
             )
-
-        n_caches = t.cells if per_cell else 1
-        self.caches = [Cache(t.cache_capacity, eviction) for _ in range(n_caches)]
-        # Per cache, keyed by entity IRI like the caches: a key is pending
-        # while its prefetch is in flight, and maps to the demand requests
-        # waiting for it.
-        self.pending: list[dict[str, list[RequestRecord]]] = [{} for _ in range(n_caches)]
 
         self.records: list[RequestRecord] = []
         self.origin_bytes = 0  # content bytes fetched from the origin
@@ -275,48 +282,57 @@ class _Simulation:
 
     def _at_cache(self, t: float, record: RequestRecord) -> None:
         route = self.routes[record.cell_id]
-        ci = route.cache
         key = record.descriptor.entity_iri
-        if self.caches[ci].lookup(key, t) is not None:
+        if route.cache.lookup(key, t) is not None:
             self._deliver(record, t, self.kb.sizes[key], ServedFrom.CACHE)
-        elif key in self.pending[ci]:
+        elif key in route.pending:
             # An in-flight prefetch will bring this content; wait for it
             # instead of fetching again.
-            self.pending[ci][key].append(record)
+            route.pending[key].append(record)
         else:
-            self._fetch(route, key, t, self._fetched, record)
+            self._fetch(route, key, t, ContentOrigin.DEMAND, [record])
 
         if self.mode is Mode.SEMANTIC:
             self._launch_prefetches(record, route, t)
 
-    def _fetch(self, route: _CellRoutes, key: str, t: float, arrived: _Then, arg: Any) -> None:
-        """Fetch ``key`` from the origin to the cell's cache node, then ``arrived(t, arg)``."""
-        fetch = (route.origin_down, self.kb.sizes[key], arrived, arg)
+    def _fetch(
+        self, route: _CellRoutes, key: str, t: float, origin: ContentOrigin, waiters: _Waiters
+    ) -> None:
+        """Fetch ``key`` from the origin to the route's cache node for ``waiters``."""
+        fetch = (route, key, origin, waiters)
         self.loop.send(route.origin_up, t, self._request_bytes(key), self._at_origin, fetch)
 
-    def _at_origin(self, t: float, fetch: tuple) -> None:
-        down, size, arrived, arg = fetch
-        self.origin_bytes += size
-        self.loop.send(down, t, size, arrived, arg)
-
-    def _fetched(self, t: float, record: RequestRecord) -> None:
-        """A demand fetch reached the cache node: cache it and deliver it."""
-        key = record.descriptor.entity_iri
+    def _at_origin(self, t: float, fetch: _Fetch) -> None:
+        route, key, _, _ = fetch
         size = self.kb.sizes[key]
-        self.caches[self.routes[record.cell_id].cache].insert(key, size, ContentOrigin.DEMAND, t)
-        self._deliver(record, t, size, ServedFrom.ORIGIN)
+        self.origin_bytes += size
+        self.loop.send(route.origin_down, t, size, self._fetched, fetch)
+
+    def _fetched(self, t: float, fetch: _Fetch) -> None:
+        """A fetch reached the cache node: cache it and deliver it to its waiters."""
+        route, key, origin, waiters = fetch
+        if origin is ContentOrigin.PREFETCH:
+            del route.pending[key]
+        size = self.kb.sizes[key]
+        # An object larger than the cache is rejected; its waiters are
+        # still served, but there is no cached entry to credit.  Crediting
+        # an entry just inserted on demand changes nothing.
+        cached = route.cache.insert(key, size, origin, t)
+        for waiter in waiters:
+            if cached:
+                route.cache.credit_prefetch_hit(key, t)
+            self._deliver(waiter, t, size, ServedFrom.ORIGIN)
 
     def _deliver(
         self, record: RequestRecord, t: float, size: int, served_from: ServedFrom
     ) -> None:
+        record.served_from = served_from
         access_down = self.routes[record.cell_id].access_down
-        self.loop.send(access_down, t, size, self._delivered, (record, served_from))
+        self.loop.send(access_down, t, size, self._delivered, record)
 
     @staticmethod
-    def _delivered(t: float, delivery: tuple[RequestRecord, ServedFrom]) -> None:
-        record, served_from = delivery
+    def _delivered(t: float, record: RequestRecord) -> None:
         record.completed_at = t
-        record.served_from = served_from
 
     # -- prefetch path ------------------------------------------------------
 
@@ -324,28 +340,12 @@ class _Simulation:
         predictions = self.inference(self.kb, record.descriptor)
         if self.max_prefetch is not None:
             predictions = predictions[: self.max_prefetch]
-        ci = route.cache
-        cache = self.caches[ci]
-        pending = self.pending[ci]
         for predicted in predictions:
             key = predicted.entity_iri
-            if key in cache or key in pending:
+            if key in route.cache or key in route.pending:
                 continue
-            pending[key] = []
-            self._fetch(route, key, t, self._prefetched, (ci, key))
-
-    def _prefetched(self, t: float, prefetch: tuple[int, str]) -> None:
-        ci, key = prefetch
-        cache = self.caches[ci]
-        size = self.kb.sizes[key]
-        waiters = self.pending[ci].pop(key)
-        # An object larger than the cache is rejected; its waiters are
-        # still served, but there is no cached prefetch to credit.
-        cached = cache.insert(key, size, ContentOrigin.PREFETCH, t)
-        for waiter in waiters:
-            if cached:
-                cache.credit_prefetch_hit(key, t)
-            self._deliver(waiter, t, size, ServedFrom.ORIGIN)
+            waiters = route.pending[key] = []
+            self._fetch(route, key, t, ContentOrigin.PREFETCH, waiters)
 
     # -- reporting ----------------------------------------------------------
 
@@ -429,15 +429,13 @@ def metadata_overhead(trace: Sequence[TraceEntry], kb: KnowledgeBase) -> dict:
     """Bytes added by carrying metadata headers, versus delivered content.
 
     Per request the overhead is the full wire size of its hop-by-hop header
-    (a request without the framework carries no such header at all).
+    (a request without the framework carries no such header at all).  Each
+    entity's header is sized once and counted once per request for it.
     """
-    total = 0
-    content = 0
-    users = set()
-    for entry in trace:
-        total += wire_size(kb.describe(entry.entity_iri))
-        content += kb.sizes[entry.entity_iri]
-        users.add(entry.user_id)
+    requests = Counter(entry.entity_iri for entry in trace)
+    total = sum(wire_size(kb.describe(iri)) * n for iri, n in requests.items())
+    content = sum(kb.sizes[iri] * n for iri, n in requests.items())
+    users = {entry.user_id for entry in trace}
     return {
         "total_bytes": total,
         "per_user_bytes": total / len(users) if users else 0.0,

@@ -22,7 +22,8 @@ class TestLookup:
         c = Cache(1000)
         c.insert("k", 100, D, 0)
         assert c.lookup("k", 1) is not None
-        assert c.stats().hit_ratio == 1.0
+        s = c.stats()
+        assert (s.hits, s.lookups) == (1, 1)
 
     def test_lru_eviction_then_miss(self):
         # Capacity for three; inserting a fourth evicts the least recent.
@@ -86,14 +87,13 @@ class TestInsert:
 class TestStats:
     def test_fresh_cache_zeroes(self):
         s = Cache(10).stats()
-        assert s.lookups == s.hits == s.prefetched_bytes == 0
-        assert s.hit_ratio == 0.0
-        assert s.useless_prefetch_ratio == 0.0
+        assert s.lookups == s.hits == s.prefetched_bytes == s.prefetched_bytes_hit == 0
 
     def test_unused_prefetch_ratio_one(self):
         c = Cache(1000)
         c.insert("k", 500, P, 0)
-        assert c.stats().useless_prefetch_ratio == 1.0
+        s = c.stats()
+        assert (s.prefetched_bytes, s.prefetched_bytes_hit) == (500, 0)
 
     def test_half_useful_prefetch(self):
         c = Cache(2000)
@@ -104,7 +104,6 @@ class TestStats:
         s = c.stats()
         assert s.prefetched_bytes == 1000
         assert s.prefetched_bytes_hit == 500
-        assert s.useless_prefetch_ratio == 0.5
 
     def test_credit_without_lookup(self):
         c = Cache(1000)
