@@ -26,7 +26,6 @@ from semcache.sim import (
     Topology,
     metadata_overhead,
     run_simulation,
-    transfer_time,
 )
 from semcache.metrics import MetricsReport
 from semcache.workload import SyntheticSpec, TraceEntry, generate_trace, load_trace
@@ -62,7 +61,6 @@ __all__ = [
     "metadata_overhead",
     "run_simulation",
     "run_sweep",
-    "transfer_time",
     "wire_size",
 ]
 

@@ -340,8 +340,11 @@ def cmd_codec(args: argparse.Namespace) -> int:
     if args.action == "encode":
         if not args.iri:
             raise ConfigError("iri", "encode requires --iri")
-        descriptor = MetadataDescriptor(args.iri, _KIND_FLAGS[args.kind])
-        header = codec_mod.encode_metadata(descriptor)
+        try:
+            descriptor = MetadataDescriptor(args.iri, _KIND_FLAGS[args.kind])
+            header = codec_mod.encode_metadata(descriptor)
+        except (ValueError, codec_mod.CodecError) as exc:
+            raise ConfigError("iri", str(exc)) from None
         sys.stdout.write(header.to_bytes().hex() + "\n")
     else:
         if not args.hex:

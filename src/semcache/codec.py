@@ -43,10 +43,6 @@ class MetadataTooLarge(CodecError):
     """Canonical serialization exceeds the 2030-byte metadata capacity."""
 
 
-class EmptyMetadata(CodecError):
-    """Zero-length metadata payload cannot be encoded."""
-
-
 class MalformedHeader(CodecError):
     """Header bytes are inconsistent with the TLV framing rules."""
 
@@ -201,38 +197,30 @@ class HopByHopHeader:
         return cls(wire[0], tuple(options))
 
 
-def _metadata_options(payload: bytes) -> list[HopByHopOption]:
-    if not payload:
-        raise EmptyMetadata("metadata payload is empty")
-    if len(payload) > MAX_METADATA_BYTES:
-        raise MetadataTooLarge(
-            f"metadata payload is {len(payload)} bytes, limit is {MAX_METADATA_BYTES}"
-        )
-    return [
-        HopByHopOption(OPT_METADATA, payload[i : i + MAX_OPTION_DATA])
-        for i in range(0, len(payload), MAX_OPTION_DATA)
-    ]
-
-
-def _padding(raw_size: int) -> list[HopByHopOption]:
-    pad = -raw_size % 8
-    if pad == 0:
-        return []
-    if pad == 1:
-        return [HopByHopOption(OPT_PAD1, b"")]
-    return [HopByHopOption(OPT_PADN, bytes(pad - 2))]
+def _unpadded_size(payload_len: int) -> int:
+    """Header bytes before padding when a record of ``payload_len`` bytes is
+    split into options of at most 255 data bytes."""
+    n_options = -(-payload_len // MAX_OPTION_DATA)
+    return _FIXED_BYTES + n_options * _TLV_OVERHEAD + payload_len
 
 
 def encode_metadata(descriptor: MetadataDescriptor) -> HopByHopHeader:
     """Build a hop-by-hop header carrying the descriptor's canonical record.
 
-    The record is split greedily into 255-byte options; PadN/Pad1 options
-    bring the header to an 8-octet boundary.
+    The record is split greedily into 255-byte options; a Pad1 or PadN option
+    brings the header to an 8-octet boundary.
     """
     payload = descriptor.to_bytes()
-    options = _metadata_options(payload)
-    raw = _FIXED_BYTES + sum(_TLV_OVERHEAD + len(o.data) for o in options)
-    return HopByHopHeader(DEFAULT_NEXT_HEADER, tuple(options + _padding(raw)))
+    options = [
+        HopByHopOption(OPT_METADATA, payload[i : i + MAX_OPTION_DATA])
+        for i in range(0, len(payload), MAX_OPTION_DATA)
+    ]
+    pad = -_unpadded_size(len(payload)) % 8
+    if pad == 1:
+        options.append(HopByHopOption(OPT_PAD1, b""))
+    elif pad:
+        options.append(HopByHopOption(OPT_PADN, bytes(pad - 2)))
+    return HopByHopHeader(DEFAULT_NEXT_HEADER, tuple(options))
 
 
 def decode_metadata(header: HopByHopHeader) -> MetadataDescriptor:
@@ -240,18 +228,10 @@ def decode_metadata(header: HopByHopHeader) -> MetadataDescriptor:
     chunks = [opt.data for opt in header.options if opt.type == OPT_METADATA]
     if not chunks:
         raise NoMetadataOptions("header carries no metadata options")
-    payload = b"".join(chunks)
-    if len(payload) > MAX_METADATA_BYTES:
-        raise UnparseableMetadata(
-            f"concatenated metadata is {len(payload)} bytes, "
-            f"limit is {MAX_METADATA_BYTES}"
-        )
-    return MetadataDescriptor.from_bytes(payload)
+    return MetadataDescriptor.from_bytes(b"".join(chunks))
 
 
 def wire_size(descriptor: MetadataDescriptor) -> int:
     """Exact wire size of ``encode_metadata(descriptor)`` without building it."""
-    payload_len = len(descriptor.to_bytes())
-    n_options = -(-payload_len // MAX_OPTION_DATA)
-    raw = _FIXED_BYTES + n_options * _TLV_OVERHEAD + payload_len
+    raw = _unpadded_size(len(descriptor.to_bytes()))
     return raw + (-raw % 8)

@@ -77,13 +77,6 @@ class LinkSpec:
             raise ValueError("bandwidth must be > 0")
 
 
-def transfer_time(link: LinkSpec, payload_bytes: float) -> float:
-    """Uncontended traversal time of one link for one message."""
-    if payload_bytes < 0:
-        raise ValueError("payload must be >= 0")
-    return link.propagation_delay_ms + payload_bytes / link.bandwidth_bytes_per_ms
-
-
 DEFAULT_BANDWIDTH = 1250.0  # bytes/ms (10 Mbit/s)
 
 

@@ -104,6 +104,8 @@ def load_trace(source: str | Path | TextIO | Iterable[str]) -> list[TraceEntry]:
             raise ParseError(line_no, str(exc)) from None
         if time_ms < 0:
             raise NegativeTime(line_no, time_ms)
+        if not math.isfinite(time_ms):
+            raise ParseError(line_no, f"time is not finite: {time_ms}")
         iri = row[3].strip()
         if not iri:
             raise ParseError(line_no, "empty entity_iri")

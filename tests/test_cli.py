@@ -335,6 +335,11 @@ class TestCodec:
         assert "entity_iri: wiki/Example" in out
         assert "entity_kind: PERSON" in out
 
+    @pytest.mark.parametrize("iri", ["wiki/a\tb", "x" * 2028], ids=["tab", "too-long"])
+    def test_refused_iri_is_config_error(self, iri, capsys):
+        assert main(["codec", "encode", "--iri", iri]) == 2
+        assert "config error in 'iri'" in capsys.readouterr().err
+
     def test_bad_hex_is_config_error(self, capsys):
         assert main(["codec", "decode", "--hex", "zz"]) == 2
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from semcache.codec import (
     EntityKind,
-    EmptyMetadata,
     HopByHopHeader,
     HopByHopOption,
     MalformedHeader,
@@ -19,7 +18,6 @@ from semcache.codec import (
     decode_metadata,
     encode_metadata,
     wire_size,
-    _metadata_options,
 )
 
 
@@ -77,10 +75,6 @@ class TestEncode:
         assert header.wire_size() == 8
         assert len(header.options) == 1
 
-    def test_empty_payload_rejected(self):
-        with pytest.raises(EmptyMetadata):
-            _metadata_options(b"")
-
     def test_empty_iri_rejected(self):
         with pytest.raises(ValueError):
             MetadataDescriptor("", EntityKind.PERSON)
@@ -131,11 +125,23 @@ class TestDecode:
         # 15 payload bytes -> raw 19, padded to 24 with a 5-byte PadN.
         header = HopByHopHeader(
             6,
-            tuple(_metadata_options(bytes(payload)))
-            + (HopByHopOption(OPT_PADN, bytes(3)),),
+            (
+                HopByHopOption(OPT_METADATA, bytes(payload)),
+                HopByHopOption(OPT_PADN, bytes(3)),
+            ),
         )
         with pytest.raises(UnparseableMetadata):
             decode_metadata(header)
+
+    @pytest.mark.parametrize("n", [3, 2031])
+    def test_record_length_out_of_range(self, n):
+        raw = bytes([EntityKind.OTHER.value]) + (n - 3).to_bytes(2, "big") + b"x" * (n - 3)
+        with pytest.raises(UnparseableMetadata, match="too (short|long)"):
+            MetadataDescriptor.from_bytes(raw)
+
+    def test_longest_record_parses(self):
+        d = descriptor_with_payload_len(2030)
+        assert MetadataDescriptor.from_bytes(d.to_bytes()) == d
 
     def test_unknown_kind_byte(self):
         raw = bytes([0x7F]) + (5).to_bytes(2, "big") + b"abcde"

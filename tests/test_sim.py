@@ -17,7 +17,6 @@ from semcache.sim import (
     _Simulation,
     metadata_overhead,
     run_simulation,
-    transfer_time,
 )
 from semcache.workload import TraceEntry
 
@@ -40,20 +39,16 @@ def topo(location=CacheLocation.ENODEB, capacity=10_000_000, cells=1):
 
 class TestTransferTime:
     def test_zero_payload(self):
-        assert transfer_time(LinkSpec(10.0, 1000.0), 0) == 10.0
+        assert _Channel(LinkSpec(10.0, 1000.0)).transfer(0.0, 0) == 10.0
 
     def test_payload_adds_serialization_delay(self):
-        assert transfer_time(LinkSpec(10.0, 1000.0), 5000) == 15.0
+        assert _Channel(LinkSpec(10.0, 1000.0)).transfer(0.0, 5000) == 15.0
 
     def test_fifo_serialization(self):
         # Two back-to-back 5000 B transfers: arrivals at 15 ms and 20 ms.
         ch = _Channel(LinkSpec(10.0, 1000.0))
         assert ch.transfer(0.0, 5000) == 15.0
         assert ch.transfer(0.0, 5000) == 20.0
-
-    def test_negative_payload_rejected(self):
-        with pytest.raises(ValueError):
-            transfer_time(LinkSpec(10.0, 1000.0), -1)
 
 
 class TestEventLoop:

@@ -43,6 +43,12 @@ class TestLoadTrace:
             load_trace(io.StringIO("-1,0,0,wiki/A\n"))
         assert exc.value.line_no == 1
 
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_non_finite_time(self, time):
+        with pytest.raises(ParseError, match="not finite") as exc:
+            load_trace(io.StringIO(f"1,0,0,wiki/A\n{time},0,0,wiki/A\n"))
+        assert exc.value.line_no == 2
+
     def test_malformed_row_names_line(self):
         with pytest.raises(ParseError) as exc:
             load_trace(io.StringIO("1,0,0,wiki/A\n2,zero,0,wiki/B\n"))
