@@ -229,6 +229,14 @@ def _path(settings: dict, key: str) -> str:
     return path
 
 
+def _check_out_dirs(args: argparse.Namespace, *flags: str) -> None:
+    """Refuse an output path in a missing directory before any work is done."""
+    for flag in flags:
+        path = getattr(args, flag)
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(flag, f"the directory of {path} does not exist")
+
+
 def _report_lines(report: MetricsReport) -> str:
     out = io.StringIO()
     out.write(f"mode:                    {report.mode}\n")
@@ -244,6 +252,7 @@ def _report_lines(report: MetricsReport) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_out_dirs(args, "out", "records")
     settings = _settings(args)
     kb_path = _path(settings, "kb")
     trace_path = _path(settings, "trace")
@@ -283,6 +292,7 @@ def _record_dict(r) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from semcache.experiments import run_sweep
 
+    _check_out_dirs(args, "out")
     settings = _settings(args)
     kb_path = _path(settings, "kb")
     variable = SweepVariable(args.variable.replace("-", "_"))
@@ -302,6 +312,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_trace(args: argparse.Namespace) -> int:
+    _check_out_dirs(args, "out")
     settings = _settings(args)
     spec = _workload(settings)
     trace = generate_trace(load_knowledge_base(_path(settings, "kb")), spec)

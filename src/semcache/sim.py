@@ -257,9 +257,9 @@ class _Simulation:
         return len(iri.encode("utf-8"))
 
     def schedule_trace(self) -> None:
-        prev_time = None
+        prev_time = 0.0
         for idx, entry in enumerate(self.trace):
-            if prev_time is not None and entry.time_ms < prev_time:
+            if entry.time_ms < prev_time:
                 raise UnsortedTrace(idx)
             prev_time = entry.time_ms
             descriptor = self.kb.describe(entry.entity_iri)

@@ -28,12 +28,6 @@ class ParseError(WorkloadError):
         self.line_no = line_no
 
 
-class NegativeTime(WorkloadError):
-    def __init__(self, line_no: int, value: float):
-        super().__init__(f"line {line_no}: negative time {value}")
-        self.line_no = line_no
-
-
 class EmptyKnowledgeBase(WorkloadError):
     pass
 
@@ -44,6 +38,12 @@ class TraceEntry:
     user_id: int
     cell_id: int
     entity_iri: str
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.time_ms < math.inf:
+            raise ValueError(f"time_ms must be finite and >= 0, got {self.time_ms}")
+        if not self.entity_iri:
+            raise ValueError(f"entity_iri must be non-empty, got {self.entity_iri!r}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,7 @@ def load_trace(source: str | Path | TextIO | Iterable[str]) -> list[TraceEntry]:
             return load_trace(fh)
 
     entries: list[TraceEntry] = []
-    lines = ((n, line) for n, line in enumerate(source, start=1))
-    for line_no, line in lines:
+    for line_no, line in enumerate(source, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -97,19 +96,9 @@ def load_trace(source: str | Path | TextIO | Iterable[str]) -> list[TraceEntry]:
         if len(row) != 4:
             raise ParseError(line_no, f"expected 4 columns, got {len(row)}")
         try:
-            time_ms = float(row[0])
-            user_id = int(row[1])
-            cell_id = int(row[2])
+            entries.append(TraceEntry(float(row[0]), int(row[1]), int(row[2]), row[3].strip()))
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
-        if time_ms < 0:
-            raise NegativeTime(line_no, time_ms)
-        if not math.isfinite(time_ms):
-            raise ParseError(line_no, f"time is not finite: {time_ms}")
-        iri = row[3].strip()
-        if not iri:
-            raise ParseError(line_no, "empty entity_iri")
-        entries.append(TraceEntry(time_ms, user_id, cell_id, iri))
     entries.sort(key=lambda e: e.time_ms)
     return entries
 

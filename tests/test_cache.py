@@ -48,6 +48,18 @@ class TestInsert:
         assert c.used == 0 and len(c) == 0
         assert c.stats().rejections == 1
 
+    @pytest.mark.parametrize(
+        "capacity, policy, match",
+        [(0, "lru", "capacity must be positive"), (1, "mru", "unknown eviction policy")],
+    )
+    def test_invalid_cache_rejected(self, capacity, policy, match):
+        with pytest.raises(ValueError, match=match):
+            Cache(capacity, policy)
+
+    def test_non_positive_size_rejected(self):
+        with pytest.raises(ValueError, match="size must be positive"):
+            Cache(1000).insert("k", 0, D, 0)
+
     def test_lru_respects_recency(self):
         # A B C inserted, A touched, D inserted -> B is the LRU victim.
         c = Cache(300)

@@ -254,6 +254,47 @@ class TestConfigErrors:
         assert main([command, "--scenario", str(scen)]) == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--out"], "out"),
+            (["simulate", "--records"], "records"),
+            (["sweep", "--variable", "cache-size", "--values", "100000", "--out"], "out"),
+            (["gen-trace", "--out"], "out"),
+        ],
+    )
+    def test_missing_output_directory(
+        self, kb_file, trace_file, tmp_path, capsys, monkeypatch, argv, flag
+    ):
+        def no_kb(path):
+            raise AssertionError("the KB loaded before the output path was checked")
+
+        monkeypatch.setattr("semcache.cli.load_knowledge_base", no_kb)
+        scen = tmp_path / "scenario.yaml"
+        scen.write_text(f"kb: {kb_file}\ntrace: {trace_file}\n")
+        out = str(tmp_path / "missing" / "x")
+        assert main(argv + [out, "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error in '{flag}'" in err and out in err
+
+    def test_missing_records_directory_leaves_no_file(self, kb_file, trace_file, tmp_path):
+        ok = tmp_path / "ok.csv"
+        missing = str(tmp_path / "missing" / "r.jsonl")
+        argv = ["simulate", "--kb", kb_file, "--trace", trace_file]
+        assert main(argv + ["--out", str(ok), "--records", missing]) == 2
+        assert not ok.exists()
+
+    def test_missing_scenario_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "none.yaml")
+        assert main(["simulate", "--scenario", missing]) == 2
+        assert "file not found" in capsys.readouterr().err
+
+    def test_scenario_not_a_mapping(self, tmp_path, capsys):
+        scen = tmp_path / "scenario.yaml"
+        scen.write_text("- kb\n- trace\n")
+        assert main(["simulate", "--scenario", str(scen)]) == 2
+        assert "key-value mapping" in capsys.readouterr().err
+
     def test_flag_read_like_file(self, kb_file, trace_file, tmp_path, capsys):
         scen = tmp_path / "scenario.yaml"
         scen.write_text(f"kb: {kb_file}\ntrace: {trace_file}\nmode: Traditional\n")
@@ -339,6 +380,11 @@ class TestCodec:
     def test_refused_iri_is_config_error(self, iri, capsys):
         assert main(["codec", "encode", "--iri", iri]) == 2
         assert "config error in 'iri'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action, flag", [("encode", "iri"), ("decode", "hex")])
+    def test_missing_input_is_config_error(self, action, flag, capsys):
+        assert main(["codec", action]) == 2
+        assert f"{action} requires --{flag}" in capsys.readouterr().err
 
     def test_bad_hex_is_config_error(self, capsys):
         assert main(["codec", "decode", "--hex", "zz"]) == 2

@@ -143,6 +143,16 @@ class TestDecode:
         d = descriptor_with_payload_len(2030)
         assert MetadataDescriptor.from_bytes(d.to_bytes()) == d
 
+    @pytest.mark.parametrize(
+        "iri, match",
+        [(b"\xff\xfe", "not valid UTF-8"), (b"a\x01", "control characters")],
+        ids=["non-utf8", "control-char"],
+    )
+    def test_unacceptable_iri_bytes(self, iri, match):
+        raw = bytes([EntityKind.OTHER.value]) + len(iri).to_bytes(2, "big") + iri
+        with pytest.raises(UnparseableMetadata, match=match):
+            MetadataDescriptor.from_bytes(raw)
+
     def test_unknown_kind_byte(self):
         raw = bytes([0x7F]) + (5).to_bytes(2, "big") + b"abcde"
         with pytest.raises(UnparseableMetadata):
@@ -169,6 +179,31 @@ class TestWireFormat:
         wire[3] = 200  # option claims more data than the buffer holds
         with pytest.raises(MalformedHeader):
             HopByHopHeader.from_bytes(bytes(wire))
+
+    @pytest.mark.parametrize(
+        "opt_type, data, match",
+        [(256, b"", "option type out of range"), (OPT_PADN, bytes(256), "exceeds 255")],
+    )
+    def test_invalid_option(self, opt_type, data, match):
+        with pytest.raises(ValueError, match=match):
+            HopByHopOption(opt_type, data)
+
+    def test_header_size_not_multiple_of_8(self):
+        # 2 fixed + 2 TLV + 5 data = 9 bytes.
+        with pytest.raises(ValueError, match="not a multiple of 8"):
+            HopByHopHeader(6, (HopByHopOption(OPT_METADATA, bytes(5)),))
+
+    def test_header_over_2048_bytes(self):
+        # 2 fixed + 8 x (2 + 255) + a 6-byte PadN = 2,064 bytes.
+        options = (HopByHopOption(OPT_METADATA, bytes(255)),) * 8
+        with pytest.raises(ValueError, match="2064 exceeds 2048"):
+            HopByHopHeader(6, options + (HopByHopOption(OPT_PADN, bytes(4)),))
+
+    def test_truncated_option(self):
+        # Five Pad1 bytes, then a type byte in the last octet with no length byte.
+        wire = bytes([6, 0]) + bytes([OPT_PAD1]) * 5 + bytes([OPT_METADATA])
+        with pytest.raises(MalformedHeader, match="missing length byte"):
+            HopByHopHeader.from_bytes(wire)
 
     def test_pad1_parsing(self):
         # 2 fixed + 1 TLV option of 3 data bytes = 7, plus one Pad1 byte = 8.

@@ -110,6 +110,12 @@ class TestLoad:
             load_knowledge_base(io.StringIO(text))
         assert exc.value.line_no == 2
 
+    def test_conflicting_size_rejected(self):
+        text = '"wiki/A" type Person\n"wiki/A" size 10\n"wiki/A" size 20\n'
+        with pytest.raises(ParseError, match="conflicting size") as exc:
+            load_knowledge_base(io.StringIO(text))
+        assert exc.value.line_no == 3
+
     @pytest.mark.parametrize(
         "line, plain",
         [

@@ -354,6 +354,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             LinkSpec(delay, bandwidth)
 
+    def test_no_cells_rejected(self):
+        with pytest.raises(ValueError, match="cells must be positive"):
+            Topology(cells=0)
+
     def test_unsorted_trace(self):
         kb = pair_kb()
         trace = [
@@ -362,6 +366,14 @@ class TestValidation:
         ]
         with pytest.raises(UnsortedTrace):
             run_simulation(topo(), kb, trace, Mode.TRADITIONAL)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -100.0])
+    def test_unreplayable_time_never_reaches_the_run(self, time):
+        # A nan or inf time makes the mean latency nan; a negative one charges
+        # the request a wait that no queue caused (every channel starts idle at 0).
+        with pytest.raises(ValueError, match="time_ms"):
+            trace = [TraceEntry(0.0, 0, 0, "wiki/Alice"), TraceEntry(time, 0, 0, "wiki/Bob")]
+            run_simulation(topo(), pair_kb(), trace, Mode.TRADITIONAL)
 
     def test_unknown_entity(self):
         kb = pair_kb()

@@ -5,7 +5,6 @@ import pytest
 from semcache.kb import infer_next, load_knowledge_base
 from semcache.workload import (
     EmptyKnowledgeBase,
-    NegativeTime,
     ParseError,
     SyntheticSpec,
     TraceEntry,
@@ -26,6 +25,17 @@ def chain_kb(n=12):
     return load_knowledge_base(io.StringIO("\n".join(lines)))
 
 
+class TestTraceEntry:
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), -1.0])
+    def test_time_must_be_finite_and_non_negative(self, time):
+        with pytest.raises(ValueError, match=f"time_ms must be finite and >= 0, got {time}"):
+            TraceEntry(time, 0, 0, "wiki/A")
+
+    def test_iri_must_be_non_empty(self):
+        with pytest.raises(ValueError, match="entity_iri must be non-empty, got ''"):
+            TraceEntry(0.0, 0, 0, "")
+
+
 class TestLoadTrace:
     def test_fixture_rows_sorted(self):
         csv_text = (
@@ -39,19 +49,29 @@ class TestLoadTrace:
         assert entries[0] == TraceEntry(5.0, 0, 0, "wiki/A")
 
     def test_negative_time(self):
-        with pytest.raises(NegativeTime) as exc:
+        with pytest.raises(ParseError, match="finite and >= 0") as exc:
             load_trace(io.StringIO("-1,0,0,wiki/A\n"))
         assert exc.value.line_no == 1
 
     @pytest.mark.parametrize("time", ["nan", "inf"])
     def test_non_finite_time(self, time):
-        with pytest.raises(ParseError, match="not finite") as exc:
+        with pytest.raises(ParseError, match="finite and >= 0") as exc:
             load_trace(io.StringIO(f"1,0,0,wiki/A\n{time},0,0,wiki/A\n"))
         assert exc.value.line_no == 2
 
     def test_malformed_row_names_line(self):
         with pytest.raises(ParseError) as exc:
             load_trace(io.StringIO("1,0,0,wiki/A\n2,zero,0,wiki/B\n"))
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [("2,0,wiki/B", "expected 4 columns, got 3"), ("2,0,0, ", "entity_iri must be non-empty")],
+        ids=["three-columns", "empty-iri"],
+    )
+    def test_refused_row_names_line(self, row, match):
+        with pytest.raises(ParseError, match=match) as exc:
+            load_trace(io.StringIO(f"1,0,0,wiki/A\n{row}\n"))
         assert exc.value.line_no == 2
 
     def test_stable_sort_among_ties(self):
