@@ -51,6 +51,8 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.variable, SweepVariable):
+            raise TypeError(f"sweep variable must be a SweepVariable, got {self.variable!r}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
 

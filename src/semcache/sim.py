@@ -11,8 +11,12 @@ Each link direction is a FIFO channel: a transfer occupies the channel for
 transmission ends, so concurrent transfers queue behind each other but the
 two directions never interfere.  A message claims the first channel of
 its path when it is sent and each later one when the heap event of its
-arrival at that hop pops; each hop takes one sequence number, and events
-at equal times run in the order they were pushed.
+arrival at that hop pops.  Event order is fixed by two rules: a request
+issued at t claims its first link before any message that arrives at t,
+and other equal-time events run in the order their hop was claimed.  The
+trace's requests are merged into the heap as the clock reaches them, so
+the heap holds only messages in flight.  A delivery completes when its
+last link's arrival time is known, with no event of its own.
 
 A request carries its metadata to the cache node; there the cache is
 consulted and, in Semantic mode, the inference policy fires (on hits and
@@ -151,6 +155,8 @@ _CACHE_DEPTH = {CacheLocation.ENODEB: 1, CacheLocation.SGW: 2, CacheLocation.PGW
 _Path = tuple[_Channel, ...]
 _Then = Callable[[float, Any], None]  # called as then(arrival time, arg)
 _Waiters = list[RequestRecord]
+# (t, channels, nbytes, then, arg): a message sent at ``t`` from outside the loop.
+_Arrival = tuple[float, _Path, float, _Then, Any]
 
 
 @dataclass(frozen=True)
@@ -174,7 +180,9 @@ _Fetch = tuple[_CellRoutes, str, ContentOrigin, _Waiters]
 class _EventLoop:
     """One heap of message hops.  An event ``(t, seq, channels, index, nbytes,
     then, arg)`` has crossed ``channels[:index]`` by ``t``; popping it claims
-    the next channel, or after the last one calls ``then(t, arg)``."""
+    the next channel, or after the last one calls ``then(t, arg)``.  A send
+    whose ``then`` is None is a delivery: ``arg`` is its RequestRecord, which
+    completes when its last channel is claimed, without an event of its own."""
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []
@@ -186,19 +194,40 @@ class _EventLoop:
         heapq.heappush(self._heap, (t, self._seq, channels, index, nbytes, then, arg))
         self._seq += 1
 
-    def send(self, channels: _Path, t: float, nbytes: float, then: _Then, arg: Any) -> None:
-        """Claim the first channel at once, so that equal-time sends keep their order."""
-        self.push(channels[0].transfer(t, nbytes), channels, 1, nbytes, then, arg)
+    def send(
+        self,
+        channels: _Path,
+        t: float,
+        nbytes: float,
+        then: Optional[_Then],
+        arg: Any,
+        index: int = 0,
+    ) -> None:
+        """Claim ``channels[index]`` at ``t``.  A new message claims its first
+        channel at once, so that equal-time sends keep their order."""
+        arrive = channels[index].transfer(t, nbytes)
+        index += 1
+        if then is None and index == len(channels):
+            arg.completed_at = arrive
+        else:
+            self.push(arrive, channels, index, nbytes, then, arg)
 
-    def run(self) -> None:
+    def run(self, arrivals: Sequence[_Arrival] = ()) -> None:
+        """Run until the heap is empty, merging in the time-ordered ``arrivals``:
+        each is sent when its time is at most that of the heap's next event."""
         heap = self._heap
-        pop, push = heapq.heappop, heapq.heappush
-        while heap:
+        pop, send = heapq.heappop, self.send
+        pending = iter(arrivals)
+        arrival = next(pending, None)
+        while heap or arrival is not None:
+            if arrival is not None and (not heap or arrival[0] <= heap[0][0]):
+                time, channels, nbytes, then, arg = arrival
+                arrival = next(pending, None)
+                send(channels, time, nbytes, then, arg)
+                continue
             time, _, channels, index, nbytes, then, arg = pop(heap)
             if index < len(channels):
-                arrive = channels[index].transfer(time, nbytes)
-                push(heap, (arrive, self._seq, channels, index + 1, nbytes, then, arg))
-                self._seq += 1
+                send(channels, time, nbytes, then, arg, index)
             else:
                 then(time, arg)
 
@@ -256,7 +285,9 @@ class _Simulation:
     def _request_bytes(self, iri: str) -> int:
         return len(iri.encode("utf-8"))
 
-    def schedule_trace(self) -> None:
+    def schedule_trace(self) -> list[_Arrival]:
+        """Check the trace, record each request and return its arrivals in order."""
+        arrivals: list[_Arrival] = []
         prev_time = 0.0
         for idx, entry in enumerate(self.trace):
             if entry.time_ms < prev_time:
@@ -271,7 +302,8 @@ class _Simulation:
             self.records.append(record)
             up = self.routes[entry.cell_id].access_up
             nbytes = self._request_bytes(entry.entity_iri)
-            self.loop.push(entry.time_ms, up, 0, nbytes, self._at_cache, record)
+            arrivals.append((entry.time_ms, up, nbytes, self._at_cache, record))
+        return arrivals
 
     def _at_cache(self, t: float, record: RequestRecord) -> None:
         route = self.routes[record.cell_id]
@@ -321,11 +353,7 @@ class _Simulation:
     ) -> None:
         record.served_from = served_from
         access_down = self.routes[record.cell_id].access_down
-        self.loop.send(access_down, t, size, self._delivered, record)
-
-    @staticmethod
-    def _delivered(t: float, record: RequestRecord) -> None:
-        record.completed_at = t
+        self.loop.send(access_down, t, size, None, record)
 
     # -- prefetch path ------------------------------------------------------
 
@@ -410,8 +438,9 @@ def run_simulation(
         max_prefetch=max_prefetch,
         eviction=eviction,
     )
-    sim.schedule_trace()
-    sim.loop.run()
+    # The arrivals hold bound methods of ``sim``; kept on it, they would tie
+    # it and its records into a reference cycle that outlives the run.
+    sim.loop.run(sim.schedule_trace())
     unserved = next((r for r in sim.records if r.served_from is None), None)
     if unserved is not None:
         raise SimulationError(f"request {unserved.request_id} was never served")

@@ -95,6 +95,11 @@ class TestRunSweep:
         with pytest.raises(Exception, match="cache_size=-5"):
             run_sweep(spec, kb)
 
+    def test_variable_must_be_a_sweep_variable(self):
+        scen = Scenario(topology=reference_topology(), workload=small_workload())
+        with pytest.raises(TypeError, match="'user_count'"):
+            SweepSpec("user_count", (2,), scen)
+
 
 class TestImprovement:
     def _pair(self, kb, mode_pair=None):

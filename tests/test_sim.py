@@ -1,8 +1,13 @@
+import gc
+import heapq
 import io
 import math
+import types
+import weakref
 
 import pytest
 
+import semcache.sim as sim_module
 from semcache.kb import UnknownEntity, load_knowledge_base, null_inference
 from semcache.sim import (
     CacheLocation,
@@ -82,6 +87,72 @@ class TestEventLoop:
             loop.push(time, (), 0, 0, lambda t, arg: ran.append(arg), name)
         loop.run()
         assert ran == ["a", "b", "c", "late"]
+
+    # One 1000 B message takes 1 ms on this channel, so the order in which
+    # two messages claim it shows in their arrival times.
+    def _contend(self, arrival_time):
+        channel = _Channel(LinkSpec(0.0, 1000.0))
+        arrivals = []
+
+        def then(t, arg):
+            arrivals.append((t, arg))
+
+        loop = _EventLoop()
+        loop.push(5.0, (channel,), 0, 1000, then, "heap")
+        loop.run([(arrival_time, (channel,), 1000, then, "arrival")])
+        return arrivals
+
+    def test_arrival_runs_before_equal_time_heap_event(self):
+        assert self._contend(5.0) == [(6.0, "arrival"), (7.0, "heap")]
+
+    def test_later_arrival_waits_for_heap_top(self):
+        assert self._contend(5.5) == [(6.0, "heap"), (7.0, "arrival")]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_delivery_completes_at_last_link(self, k):
+        specs = [LinkSpec(1.0 + i, 500.0 * (i + 1)) for i in range(k)]
+        expected = 3.0
+        for spec in specs:
+            expected = _Channel(spec).transfer(expected, 1200)
+        loop = _EventLoop()
+        record = types.SimpleNamespace(completed_at=0.0)
+        loop.send(tuple(_Channel(spec) for spec in specs), 3.0, 1200, None, record)
+        loop.run()
+        assert record.completed_at == expected
+        assert loop._heap == []
+
+
+class TestHeapEvents:
+    """Each hop a message crosses ends in one heap pop, except the last hop of
+    a delivery: 8 hops less one on a miss, 2 per link to the cache less one
+    on a hit."""
+
+    @pytest.fixture
+    def pops(self, monkeypatch):
+        count = [0]
+
+        def heappop(heap):
+            count[0] += 1
+            return heapq.heappop(heap)
+
+        shim = types.SimpleNamespace(heappop=heappop, heappush=heapq.heappush)
+        monkeypatch.setattr(sim_module, "heapq", shim)
+        return count
+
+    @pytest.mark.parametrize(
+        "location, hit_pops",
+        [(CacheLocation.ENODEB, 1), (CacheLocation.SGW, 3), (CacheLocation.PGW, 5)],
+    )
+    def test_pops_per_request(self, pops, location, hit_pops):
+        kb = load_knowledge_base(io.StringIO('"wiki/Alice" type Person\n"wiki/Alice" size 500\n'))
+        miss = [TraceEntry(0.0, 0, 0, "wiki/Alice")]
+        run_simulation(topo(location), kb, miss, Mode.TRADITIONAL)
+        assert pops[0] == 7
+        pops[0] = 0
+        hit = TraceEntry(10_000.0, 0, 0, "wiki/Alice")
+        _, records = run_simulation(topo(location), kb, miss + [hit], Mode.TRADITIONAL)
+        assert records[1].served_from is ServedFrom.CACHE
+        assert pops[0] == 7 + hit_pops
 
 
 class TestSingleRequest:
@@ -423,6 +494,21 @@ class TestDeterminism:
         assert [(x.completed_at, x.served_from) for x in rec1] == [
             (x.completed_at, x.served_from) for x in rec2
         ]
+
+
+class TestNoReferenceCycle:
+    def test_records_die_with_the_report(self):
+        # With the collector off, only reference counts free the records,
+        # so a cycle through the simulation would keep them alive.
+        trace = [TraceEntry(0.0, 0, 0, "wiki/Alice"), TraceEntry(1.0, 1, 0, "wiki/Bob")]
+        gc.disable()
+        try:
+            report, records = run_simulation(topo(), pair_kb(), trace, Mode.SEMANTIC)
+            ref = weakref.ref(records[0])
+            del report, records
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestMetadataOverhead:
