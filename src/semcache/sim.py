@@ -15,8 +15,10 @@ arrival at that hop pops.  Event order is fixed by two rules: a request
 issued at t claims its first link before any message that arrives at t,
 and other equal-time events run in the order their hop was claimed.  The
 trace's requests are merged into the heap as the clock reaches them, so
-the heap holds only messages in flight.  A delivery completes when its
-last link's arrival time is known, with no event of its own.
+the heap holds only messages in flight.  A delivery claims all its links
+when it leaves the cache node, with no heap event: each link after its
+first is fed only by the one before it, so it sees the same claims at the
+same times as it would hop by hop.
 
 A request carries its metadata to the cache node; there the cache is
 consulted and, in Semantic mode, the inference policy fires (on hits and
@@ -143,9 +145,9 @@ class _Channel:
 
     def transfer(self, at: float, nbytes: float) -> float:
         """Claim the channel at ``at``; return the arrival time."""
-        start = max(at, self.busy_until)
-        self.busy_until = start + nbytes / self.bandwidth
-        return self.busy_until + self.delay
+        busy = self.busy_until  # ``max(at, busy)`` is written out below: a call costs more
+        busy = self.busy_until = (busy if busy > at else at) + nbytes / self.bandwidth
+        return busy + self.delay
 
 
 # Links between the UE and the cache node, by cache location.
@@ -181,18 +183,13 @@ class _EventLoop:
     """One heap of message hops.  An event ``(t, seq, channels, index, nbytes,
     then, arg)`` has crossed ``channels[:index]`` by ``t``; popping it claims
     the next channel, or after the last one calls ``then(t, arg)``.  A send
-    whose ``then`` is None is a delivery: ``arg`` is its RequestRecord, which
-    completes when its last channel is claimed, without an event of its own."""
+    whose ``then`` is None is a delivery: it claims all its channels at once,
+    with no heap event, and stamps ``arg``, its RequestRecord, with the last
+    one's arrival time."""
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []
         self._seq = 0
-
-    def push(
-        self, t: float, channels: _Path, index: int, nbytes: float, then: _Then, arg: Any
-    ) -> None:
-        heapq.heappush(self._heap, (t, self._seq, channels, index, nbytes, then, arg))
-        self._seq += 1
 
     def send(
         self,
@@ -203,14 +200,17 @@ class _EventLoop:
         arg: Any,
         index: int = 0,
     ) -> None:
-        """Claim ``channels[index]`` at ``t``.  A new message claims its first
-        channel at once, so that equal-time sends keep their order."""
+        """Claim ``channels[index]`` at ``t``, or all of ``channels[index:]`` for
+        a delivery.  A new message claims its first channel at once, so that
+        equal-time sends keep their order."""
+        if then is None:
+            for channel in channels[index:]:
+                t = channel.transfer(t, nbytes)
+            arg.completed_at = t
+            return
         arrive = channels[index].transfer(t, nbytes)
-        index += 1
-        if then is None and index == len(channels):
-            arg.completed_at = arrive
-        else:
-            self.push(arrive, channels, index, nbytes, then, arg)
+        heapq.heappush(self._heap, (arrive, self._seq, channels, index + 1, nbytes, then, arg))
+        self._seq += 1
 
     def run(self, arrivals: Sequence[_Arrival] = ()) -> None:
         """Run until the heap is empty, merging in the time-ordered ``arrivals``:

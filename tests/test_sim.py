@@ -4,8 +4,10 @@ import io
 import math
 import types
 import weakref
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import semcache.sim as sim_module
 from semcache.kb import UnknownEntity, load_knowledge_base, null_inference
@@ -81,10 +83,12 @@ class TestEventLoop:
         assert arrivals == [(5.0, "first"), (5.0, "second")]
 
     def test_equal_time_events_run_in_push_order(self):
+        # Empty messages sent at 0 over links of these delays pop at 8 and 7 ms.
         ran = []
         loop = _EventLoop()
         for time, name in [(8.0, "late"), (7.0, "a"), (7.0, "b"), (7.0, "c")]:
-            loop.push(time, (), 0, 0, lambda t, arg: ran.append(arg), name)
+            channels = (_Channel(LinkSpec(time, 1000.0)),)
+            loop.send(channels, 0.0, 0, lambda t, arg: ran.append(arg), name)
         loop.run()
         assert ran == ["a", "b", "c", "late"]
 
@@ -98,7 +102,9 @@ class TestEventLoop:
             arrivals.append((t, arg))
 
         loop = _EventLoop()
-        loop.push(5.0, (channel,), 0, 1000, then, "heap")
+        # Sent at 0 over a 1 ms + 4 ms link, this message reaches the
+        # contended channel in a heap event at 5 ms.
+        loop.send((_Channel(LinkSpec(4.0, 1000.0)), channel), 0.0, 1000, then, "heap")
         loop.run([(arrival_time, (channel,), 1000, then, "arrival")])
         return arrivals
 
@@ -123,38 +129,132 @@ class TestEventLoop:
 
 
 class TestHeapEvents:
-    """Each hop a message crosses ends in one heap pop, except the last hop of
-    a delivery: 8 hops less one on a miss, 2 per link to the cache less one
-    on a hit."""
+    """Each link a message crosses costs one heap push and one pop, except a
+    delivery's links, which it claims at once when it leaves the cache node.
+    A miss crosses the depth (1, 2 or 3) links up to the cache node and
+    2 x (4 - depth) to the origin and back: 7/6/5 events.  A hit takes 1/2/3."""
 
     @pytest.fixture
-    def pops(self, monkeypatch):
-        count = [0]
+    def count(self, monkeypatch):
+        count = {"pops": 0, "pushes": 0}
 
         def heappop(heap):
-            count[0] += 1
+            count["pops"] += 1
             return heapq.heappop(heap)
 
-        shim = types.SimpleNamespace(heappop=heappop, heappush=heapq.heappush)
+        def heappush(heap, item):
+            count["pushes"] += 1
+            heapq.heappush(heap, item)
+
+        shim = types.SimpleNamespace(heappop=heappop, heappush=heappush)
         monkeypatch.setattr(sim_module, "heapq", shim)
         return count
 
     @pytest.mark.parametrize(
-        "location, hit_pops",
-        [(CacheLocation.ENODEB, 1), (CacheLocation.SGW, 3), (CacheLocation.PGW, 5)],
+        "location, miss_events, hit_events",
+        [(CacheLocation.ENODEB, 7, 1), (CacheLocation.SGW, 6, 2), (CacheLocation.PGW, 5, 3)],
     )
-    def test_pops_per_request(self, pops, location, hit_pops):
+    def test_events_per_request(self, count, location, miss_events, hit_events):
         kb = load_knowledge_base(io.StringIO('"wiki/Alice" type Person\n"wiki/Alice" size 500\n'))
         miss = [TraceEntry(0.0, 0, 0, "wiki/Alice")]
         run_simulation(topo(location), kb, miss, Mode.TRADITIONAL)
-        assert pops[0] == 7
-        pops[0] = 0
+        assert count == {"pops": miss_events, "pushes": miss_events}
+        count.update(pops=0, pushes=0)
         hit = TraceEntry(10_000.0, 0, 0, "wiki/Alice")
         _, records = run_simulation(topo(location), kb, miss + [hit], Mode.TRADITIONAL)
         assert records[1].served_from is ServedFrom.CACHE
-        assert pops[0] == 7 + hit_pops
+        events = miss_events + hit_events
+        assert count == {"pops": events, "pushes": events}
 
 
+class TestDeliveryLinks:
+    """A delivery may claim all its links at once because every delivery link
+    after the first is fed only by the link before it, in that link's FIFO
+    order."""
+
+    @pytest.mark.parametrize("cells", [1, 3])
+    @pytest.mark.parametrize("location", list(CacheLocation))
+    def test_later_delivery_links_have_one_feeder(self, location, cells):
+        sim = _Simulation(
+            topo(location, cells=cells), pair_kb(), [], Mode.TRADITIONAL,
+            inference=None, max_prefetch=None, eviction="lru",
+        )
+        feeders, firsts = {}, set()
+        for route in sim.routes:
+            for path in (route.access_up, route.access_down, route.origin_up, route.origin_down):
+                firsts.add(path[0])
+                for before, channel in zip(path, path[1:]):
+                    feeders.setdefault(channel, set()).add(before)
+        for route in sim.routes:
+            path = route.access_down
+            for before, channel in zip(path, path[1:]):
+                assert feeders[channel] == {before}
+                assert channel not in firsts
+
+
+class _HopByHopLoop(_EventLoop):
+    """The event loop with one heap event per delivery link but the last."""
+
+    def send(self, channels, t, nbytes, then, arg, index=0):
+        if then is not None or index + 1 == len(channels):
+            super().send(channels, t, nbytes, then, arg, index)
+            return
+        arrive = channels[index].transfer(t, nbytes)
+        heapq.heappush(self._heap, (arrive, self._seq, channels, index + 1, nbytes, None, arg))
+        self._seq += 1
+
+
+# (kind, size, related entity indices); sizes lie around the cache capacity.
+_ENTITY = st.tuples(
+    st.sampled_from(["Person", "TVSeries"]),
+    st.integers(10_000, 120_000),
+    st.lists(st.integers(0, 5), max_size=3, unique=True),
+)
+# (gap before the request in ms, cell, entity index)
+_STEP = st.tuples(st.sampled_from([0.0, 1.0, 100.0, 1000.0]), st.integers(0, 2), st.integers(0, 5))
+
+
+class TestDeliveriesMatchHopByHop:
+    """Claiming a delivery's links at once changes no simulated number."""
+
+    @staticmethod
+    def _run(loop, entities, steps, cells, location, mode, eviction):
+        lines = []
+        for i, (kind, size, related) in enumerate(entities):
+            predicate = "spouse" if kind == "Person" else "starring"
+            lines += [f'"e{i}" type {kind}', f'"e{i}" size {size}']
+            lines += [f'"e{i}" {predicate} "e{j % len(entities)}"' for j in related]
+        kb = load_knowledge_base(io.StringIO("\n".join(lines) + "\n"))
+        trace, time = [], 0.0
+        for gap, cell, entity in steps:
+            time += gap
+            trace.append(TraceEntry(time, cell % cells, cell % cells, f"e{entity % len(entities)}"))
+        topology = topo(location, capacity=100_000, cells=cells)
+        with mock.patch.object(sim_module, "_EventLoop", loop):
+            report, records = run_simulation(topology, kb, trace, mode, eviction=eviction)
+        return repr(report), [(r.completed_at.hex(), r.served_from) for r in records]
+
+    @given(
+        entities=st.lists(_ENTITY, min_size=2, max_size=6),
+        steps=st.lists(_STEP, min_size=1, max_size=12),
+        cells=st.integers(1, 3),
+        location=st.sampled_from(CacheLocation),
+        mode=st.sampled_from(Mode),
+        eviction=st.sampled_from(["lru", "fifo"]),
+    )
+    # Two equal-time P-GW hits from different cells share its first link.
+    @example(
+        entities=[("Person", 50_000, []), ("Person", 20_000, [])],
+        steps=[(0.0, 0, 0), (1000.0, 0, 0), (0.0, 1, 0)],
+        cells=2,
+        location=CacheLocation.PGW,
+        mode=Mode.TRADITIONAL,
+        eviction="lru",
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_report_and_records(self, entities, steps, cells, location, mode, eviction):
+        args = (entities, steps, cells, location, mode, eviction)
+        assert self._run(_EventLoop, *args) == self._run(_HopByHopLoop, *args)
 class TestSingleRequest:
     def test_traditional_full_round_trip(self):
         kb = pair_kb()
