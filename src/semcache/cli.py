@@ -41,7 +41,7 @@ from semcache.experiments import (
 )
 from semcache.kb import load_knowledge_base
 from semcache.metrics import MetricsReport
-from semcache.sim import CacheLocation, Mode, Topology, run_simulation
+from semcache.sim import LINKS, CacheLocation, Mode, Topology, run_simulation
 from semcache.workload import SyntheticSpec, generate_trace, load_trace, save_trace
 
 EXIT_OK = 0
@@ -52,10 +52,6 @@ EXIT_CONFIG = 2
 class ConfigError(Exception):
     def __init__(self, field: str, message: str):
         super().__init__(f"config error in {field!r}: {message}")
-        self.field = field
-
-
-_LINKS = ("ue_enb", "enb_sgw", "sgw_pgw", "pgw_inet")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -158,8 +154,8 @@ SETTINGS: dict[str, _Key] = {
     "p_follow": _Key(_probability, f"follow probability (default: {SyntheticSpec.p_follow})"),
     "gap_ms": _Key(_gap),
     "requests_per_user": _Key(_range(_positive_int)),
-    **{f"{link}_delay_ms": _Key(_duration) for link in _LINKS},
-    **{f"{link}_bandwidth": _Key(_positive) for link in _LINKS},
+    **{f"{link}_delay_ms": _Key(_duration) for link in LINKS},
+    **{f"{link}_bandwidth": _Key(_positive) for link in LINKS},
 }
 
 
@@ -200,7 +196,7 @@ def _replace(base, settings: dict, fields: dict[str, str], **more):
 def _topology(settings: dict) -> Topology:
     base = Topology()
     links = {}
-    for link in _LINKS:
+    for link in LINKS:
         delay, bandwidth = f"{link}_delay_ms", f"{link}_bandwidth"
         fields = {delay: "propagation_delay_ms", bandwidth: "bandwidth_bytes_per_ms"}
         links[link] = _replace(getattr(base, link), settings, fields)
@@ -270,8 +266,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         write_csv([SweepPoint(None, mode, report)], sink)
         _atomic_write(args.out, sink.getvalue())
     if args.records:
-        lines = [json.dumps(_record_dict(r)) for r in records]
-        _atomic_write(args.records, "\n".join(lines) + "\n")
+        _atomic_write(args.records, "".join(json.dumps(_record_dict(r)) + "\n" for r in records))
     sys.stdout.write(_report_lines(report))
     return EXIT_OK
 
@@ -328,7 +323,7 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 
 def cmd_validate_kb(args: argparse.Namespace) -> int:
     kb = load_knowledge_base(_path(vars(args), "kb"))
-    persons = sum(1 for e in kb.entities() if kb.kind_of(e).name == "PERSON")
+    persons = sum(1 for e in kb.entities() if kb.kind_of(e) is EntityKind.PERSON)
     # One triple per distinct relation line and one per type declaration.
     triples = len(kb.descriptors) + sum(
         len(objects) for by_subject in kb.relations.values() for objects in by_subject.values()

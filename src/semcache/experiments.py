@@ -74,7 +74,6 @@ def _apply(scenario: Scenario, variable: SweepVariable, value) -> Scenario:
         loc = value if isinstance(value, CacheLocation) else CacheLocation(str(value))
         topo = replace(scenario.topology, cache_location=loc)
         return replace(scenario, topology=topo)
-    raise ExperimentError(f"unknown sweep variable {variable!r}")
 
 
 def run_sweep(spec: SweepSpec, kb: KnowledgeBase) -> list[SweepPoint]:

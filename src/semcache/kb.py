@@ -26,7 +26,7 @@ import re
 import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import Iterable, TextIO
 
 from semcache.codec import EntityKind, MetadataDescriptor
 
@@ -124,13 +124,6 @@ def infer_next(kb: KnowledgeBase, current: MetadataDescriptor) -> list[MetadataD
         return []
     return [kb.describe(obj) for obj in kb.objects_of(iri, predicate)]
 
-
-def null_inference(kb: KnowledgeBase, current: MetadataDescriptor) -> list[MetadataDescriptor]:
-    """Policy that never predicts anything; disables prefetching."""
-    return []
-
-
-InferencePolicy = Callable[[KnowledgeBase, MetadataDescriptor], list[MetadataDescriptor]]
 
 # A plain line: a quoted subject IRI, a lowercase keyword, then a quoted IRI
 # or an alphanumeric value.  Its quoted IRIs hold nothing ``shlex`` treats

@@ -11,7 +11,7 @@ from __future__ import annotations
 from importlib import resources
 
 from semcache.kb import KnowledgeBase, load_knowledge_base
-from semcache.sim import CacheLocation, Topology
+from semcache.sim import Topology
 from semcache.workload import SyntheticSpec
 
 REFERENCE_SEED = 42
@@ -35,12 +35,5 @@ def reference_workload(n_users: int = 20) -> SyntheticSpec:
     )
 
 
-def reference_topology(
-    cache_location: CacheLocation = CacheLocation.ENODEB,
-    cache_capacity: int = 20_000_000,
-) -> Topology:
-    return Topology(
-        cells=REFERENCE_CELLS,
-        cache_location=cache_location,
-        cache_capacity=cache_capacity,
-    )
+def reference_topology() -> Topology:
+    return Topology(cells=REFERENCE_CELLS)

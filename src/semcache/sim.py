@@ -16,17 +16,14 @@ issued at t claims its first link before any message that arrives at t,
 and other equal-time events run in the order their hop was claimed.  The
 trace's requests are merged into the heap as the clock reaches them, so
 the heap holds only messages in flight.  A delivery claims all its links
-when it leaves the cache node, with no heap event: each link after its
-first is fed only by the one before it, so it sees the same claims at the
-same times as it would hop by hop.
+when it leaves the cache node, with no heap event (see ``_deliver``).
 
 A request carries its metadata to the cache node; there the cache is
-consulted and, in Semantic mode, the inference policy fires (on hits and
-misses alike) so predicted contents are prefetched from the origin
-concurrently with the demand path.  Metadata bytes are accounted
-separately in the metrics and do not occupy link capacity, which keeps
-Semantic mode under a null inference policy schedule-identical to
-Traditional mode.
+consulted and, in Semantic mode, ``infer_next`` fires (on hits and misses
+alike) so predicted contents are prefetched from the origin concurrently
+with the demand path.  Metadata bytes are accounted separately in the
+metrics and do not occupy link capacity, which keeps Semantic mode with
+``max_prefetch=0`` schedule-identical to Traditional mode.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from semcache.cache import Cache, ContentOrigin
 from semcache.codec import MetadataDescriptor, wire_size
-from semcache.kb import InferencePolicy, KnowledgeBase, infer_next
+from semcache.kb import KnowledgeBase, infer_next
 from semcache.metrics import MetricsReport
 from semcache.workload import TraceEntry
 
@@ -85,6 +82,9 @@ class LinkSpec:
 
 DEFAULT_BANDWIDTH = 1250.0  # bytes/ms (10 Mbit/s)
 
+# The Topology fields of the links, from the UE outwards.
+LINKS = ("ue_enb", "enb_sgw", "sgw_pgw", "pgw_inet")
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -103,18 +103,13 @@ class Topology:
             raise ValueError("cache_capacity must be positive")
 
     def scenario_dict(self) -> dict:
+        links = {name: getattr(self, name) for name in LINKS}
         return {
             "cells": self.cells,
             "cache_location": self.cache_location.value,
             "cache_capacity": self.cache_capacity,
-            "ue_enb_delay_ms": self.ue_enb.propagation_delay_ms,
-            "enb_sgw_delay_ms": self.enb_sgw.propagation_delay_ms,
-            "sgw_pgw_delay_ms": self.sgw_pgw.propagation_delay_ms,
-            "pgw_inet_delay_ms": self.pgw_inet.propagation_delay_ms,
-            "ue_enb_bw": self.ue_enb.bandwidth_bytes_per_ms,
-            "enb_sgw_bw": self.enb_sgw.bandwidth_bytes_per_ms,
-            "sgw_pgw_bw": self.sgw_pgw.bandwidth_bytes_per_ms,
-            "pgw_inet_bw": self.pgw_inet.bandwidth_bytes_per_ms,
+            **{f"{name}_delay_ms": link.propagation_delay_ms for name, link in links.items()},
+            **{f"{name}_bw": link.bandwidth_bytes_per_ms for name, link in links.items()},
         }
 
 
@@ -182,10 +177,7 @@ _Fetch = tuple[_CellRoutes, str, ContentOrigin, _Waiters]
 class _EventLoop:
     """One heap of message hops.  An event ``(t, seq, channels, index, nbytes,
     then, arg)`` has crossed ``channels[:index]`` by ``t``; popping it claims
-    the next channel, or after the last one calls ``then(t, arg)``.  A send
-    whose ``then`` is None is a delivery: it claims all its channels at once,
-    with no heap event, and stamps ``arg``, its RequestRecord, with the last
-    one's arrival time."""
+    the next channel, or after the last one calls ``then(t, arg)``."""
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []
@@ -196,18 +188,12 @@ class _EventLoop:
         channels: _Path,
         t: float,
         nbytes: float,
-        then: Optional[_Then],
+        then: _Then,
         arg: Any,
         index: int = 0,
     ) -> None:
-        """Claim ``channels[index]`` at ``t``, or all of ``channels[index:]`` for
-        a delivery.  A new message claims its first channel at once, so that
-        equal-time sends keep their order."""
-        if then is None:
-            for channel in channels[index:]:
-                t = channel.transfer(t, nbytes)
-            arg.completed_at = t
-            return
+        """Claim ``channels[index]`` at ``t``.  A new message claims its first
+        channel at once, so that equal-time sends keep their order."""
         arrive = channels[index].transfer(t, nbytes)
         heapq.heappush(self._heap, (arrive, self._seq, channels, index + 1, nbytes, then, arg))
         self._seq += 1
@@ -240,7 +226,6 @@ class _Simulation:
         trace: Sequence[TraceEntry],
         mode: Mode,
         *,
-        inference: Optional[InferencePolicy],
         max_prefetch: Optional[int],
         eviction: str,
     ):
@@ -248,7 +233,6 @@ class _Simulation:
         self.kb = kb
         self.trace = trace
         self.mode = mode
-        self.inference = inference if inference is not None else infer_next
         self.max_prefetch = max_prefetch
         self.loop = _EventLoop()
 
@@ -351,17 +335,24 @@ class _Simulation:
     def _deliver(
         self, record: RequestRecord, t: float, size: int, served_from: ServedFrom
     ) -> None:
+        """Send ``size`` bytes from the cache node at ``t`` and stamp ``record``
+        with their arrival at the UE.
+
+        All the links are claimed now, with no heap event.  That gives the
+        hop-by-hop times: cells share only the links above the S-GW, which
+        can only be first on an ``access_down`` path, so each link after the
+        first is fed only by the link before it and sees the same claims in
+        the same order at the same times."""
         record.served_from = served_from
-        access_down = self.routes[record.cell_id].access_down
-        self.loop.send(access_down, t, size, None, record)
+        for channel in self.routes[record.cell_id].access_down:
+            t = channel.transfer(t, size)
+        record.completed_at = t
 
     # -- prefetch path ------------------------------------------------------
 
     def _launch_prefetches(self, record: RequestRecord, route: _CellRoutes, t: float) -> None:
-        predictions = self.inference(self.kb, record.descriptor)
-        if self.max_prefetch is not None:
-            predictions = predictions[: self.max_prefetch]
-        for predicted in predictions:
+        # A slice up to None keeps every prediction.
+        for predicted in infer_next(self.kb, record.descriptor)[: self.max_prefetch]:
             key = predicted.entity_iri
             if key in route.cache or key in route.pending:
                 continue
@@ -418,7 +409,6 @@ def run_simulation(
     mode: Mode,
     seed: int = 0,
     *,
-    inference: Optional[InferencePolicy] = None,
     max_prefetch: Optional[int] = None,
     eviction: str = "lru",
 ) -> tuple[MetricsReport, list[RequestRecord]]:
@@ -434,7 +424,6 @@ def run_simulation(
         kb,
         trace,
         mode,
-        inference=inference,
         max_prefetch=max_prefetch,
         eviction=eviction,
     )

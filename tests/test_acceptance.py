@@ -27,7 +27,7 @@ from semcache.experiments import (
     run_sweep,
     write_csv,
 )
-from semcache.kb import load_knowledge_base, null_inference
+from semcache.kb import load_knowledge_base
 from semcache.reference import (
     REFERENCE_SEED,
     reference_kb,
@@ -198,7 +198,7 @@ def test_criterion_4_trend_reproduction(kb):
     announce("4 trend reproduction (cache size, location, user count)")
 
 
-def test_criterion_5_null_inference_equivalence(kb):
+def test_criterion_5_zero_prefetch_equivalence(kb):
     topology = Topology(
         cells=2, cache_location=CacheLocation.ENODEB, cache_capacity=2_000_000
     )
@@ -213,11 +213,11 @@ def test_criterion_5_null_inference_equivalence(kb):
         )
         trace = generate_trace(kb, spec)
         _, sem = run_simulation(
-            topology, kb, trace, Mode.SEMANTIC, seed, inference=null_inference
+            topology, kb, trace, Mode.SEMANTIC, seed, max_prefetch=0
         )
         _, trad = run_simulation(topology, kb, trace, Mode.TRADITIONAL, seed)
         assert [r.served_from for r in sem] == [r.served_from for r in trad], seed
-    announce("5 null-inference equivalence on 100 traces")
+    announce("5 zero-prefetch equivalence on 100 traces")
 
 
 # Regression locks: produced by one run of the pinned reference scenario

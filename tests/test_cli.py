@@ -78,6 +78,17 @@ class TestSimulate:
         lines = records.read_text().strip().splitlines()
         assert len(lines) == 2
 
+    def test_records_of_empty_trace_is_empty_file(self, kb_file, tmp_path, capsys):
+        trace = tmp_path / "empty.csv"
+        trace.write_text("time_ms,user_id,cell_id,entity_iri\n")
+        records = tmp_path / "records.jsonl"
+        code = main(
+            ["simulate", "--kb", kb_file, "--trace", str(trace), "--records", str(records)]
+        )
+        assert code == 0
+        assert "requests:                0" in capsys.readouterr().out
+        assert records.read_bytes() == b""
+
     def test_scenario_file_with_override(self, kb_file, trace_file, tmp_path, capsys):
         scen = tmp_path / "scenario.yaml"
         scen.write_text(

@@ -18,7 +18,6 @@ from semcache.kb import (
     _plain_tokens,
     infer_next,
     load_knowledge_base,
-    null_inference,
 )
 
 REFERENCE_KB = Path(semcache.__file__).parent / "data" / "reference_kb.triples"
@@ -284,7 +283,3 @@ class TestInference:
             "wiki/B",
             "wiki/C",
         ]
-
-    def test_null_inference(self):
-        kb = small_kb()
-        assert null_inference(kb, kb.describe("wiki/A")) == []

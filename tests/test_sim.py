@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semcache.sim as sim_module
-from semcache.kb import UnknownEntity, load_knowledge_base, null_inference
+from semcache.kb import UnknownEntity, load_knowledge_base
 from semcache.sim import (
     CacheLocation,
     LinkSpec,
@@ -116,16 +116,24 @@ class TestEventLoop:
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_delivery_completes_at_last_link(self, k):
-        specs = [LinkSpec(1.0 + i, 500.0 * (i + 1)) for i in range(k)]
-        expected = 3.0
-        for spec in specs:
-            expected = _Channel(spec).transfer(expected, 1200)
-        loop = _EventLoop()
-        record = types.SimpleNamespace(completed_at=0.0)
-        loop.send(tuple(_Channel(spec) for spec in specs), 3.0, 1200, None, record)
-        loop.run()
-        assert record.completed_at == expected
-        assert loop._heap == []
+        """``_Simulation._deliver`` in each of ``k`` cells, at every cache
+        location: the record completes at the chained transfer over the links
+        from the cache node down to the UE, and the loop's heap stays empty."""
+        specs = [LinkSpec(1.0 + i, 500.0 * (i + 1)) for i in range(4)]
+        depths = {CacheLocation.ENODEB: 1, CacheLocation.SGW: 2, CacheLocation.PGW: 3}
+        for location, depth in depths.items():
+            expected = 3.0
+            for spec in specs[:depth][::-1]:
+                expected = _Channel(spec).transfer(expected, 1200)
+            topology = Topology(k, *specs, cache_location=location)
+            for cell in range(k):
+                sim = _Simulation(
+                    topology, pair_kb(), [], Mode.TRADITIONAL, max_prefetch=None, eviction="lru"
+                )
+                record = types.SimpleNamespace(cell_id=cell, completed_at=0.0)
+                sim._deliver(record, 3.0, 1200, ServedFrom.CACHE)
+                assert record.completed_at == expected
+                assert sim.loop._heap == []
 
 
 class TestHeapEvents:
@@ -177,7 +185,7 @@ class TestDeliveryLinks:
     def test_later_delivery_links_have_one_feeder(self, location, cells):
         sim = _Simulation(
             topo(location, cells=cells), pair_kb(), [], Mode.TRADITIONAL,
-            inference=None, max_prefetch=None, eviction="lru",
+            max_prefetch=None, eviction="lru",
         )
         feeders, firsts = {}, set()
         for route in sim.routes:
@@ -192,16 +200,14 @@ class TestDeliveryLinks:
                 assert channel not in firsts
 
 
-class _HopByHopLoop(_EventLoop):
-    """The event loop with one heap event per delivery link but the last."""
+def _deliver_hop_by_hop(self, record, t, size, served_from):
+    """``_Simulation._deliver`` with one heap event per delivery link."""
+    record.served_from = served_from
+    self.loop.send(self.routes[record.cell_id].access_down, t, size, _stamp, record)
 
-    def send(self, channels, t, nbytes, then, arg, index=0):
-        if then is not None or index + 1 == len(channels):
-            super().send(channels, t, nbytes, then, arg, index)
-            return
-        arrive = channels[index].transfer(t, nbytes)
-        heapq.heappush(self._heap, (arrive, self._seq, channels, index + 1, nbytes, None, arg))
-        self._seq += 1
+
+def _stamp(t, record):
+    record.completed_at = t
 
 
 # (kind, size, related entity indices); sizes lie around the cache capacity.
@@ -218,7 +224,7 @@ class TestDeliveriesMatchHopByHop:
     """Claiming a delivery's links at once changes no simulated number."""
 
     @staticmethod
-    def _run(loop, entities, steps, cells, location, mode, eviction):
+    def _run(entities, steps, cells, location, mode, eviction):
         lines = []
         for i, (kind, size, related) in enumerate(entities):
             predicate = "spouse" if kind == "Person" else "starring"
@@ -230,8 +236,7 @@ class TestDeliveriesMatchHopByHop:
             time += gap
             trace.append(TraceEntry(time, cell % cells, cell % cells, f"e{entity % len(entities)}"))
         topology = topo(location, capacity=100_000, cells=cells)
-        with mock.patch.object(sim_module, "_EventLoop", loop):
-            report, records = run_simulation(topology, kb, trace, mode, eviction=eviction)
+        report, records = run_simulation(topology, kb, trace, mode, eviction=eviction)
         return repr(report), [(r.completed_at.hex(), r.served_from) for r in records]
 
     @given(
@@ -254,7 +259,11 @@ class TestDeliveriesMatchHopByHop:
     @settings(max_examples=200, deadline=None)
     def test_same_report_and_records(self, entities, steps, cells, location, mode, eviction):
         args = (entities, steps, cells, location, mode, eviction)
-        assert self._run(_EventLoop, *args) == self._run(_HopByHopLoop, *args)
+        claimed_at_once = self._run(*args)
+        with mock.patch.object(_Simulation, "_deliver", _deliver_hop_by_hop):
+            assert self._run(*args) == claimed_at_once
+
+
 class TestSingleRequest:
     def test_traditional_full_round_trip(self):
         kb = pair_kb()
@@ -507,7 +516,7 @@ class TestNullInferenceEquivalence:
             TraceEntry(5100.0, 1, 0, "wiki/Alice"),
         ]
         rep_sem, rec_sem = run_simulation(
-            topo(), kb, trace, Mode.SEMANTIC, inference=null_inference
+            topo(), kb, trace, Mode.SEMANTIC, max_prefetch=0
         )
         rep_trad, rec_trad = run_simulation(topo(), kb, trace, Mode.TRADITIONAL)
         assert [r.served_from for r in rec_sem] == [r.served_from for r in rec_trad]
