@@ -16,7 +16,7 @@ from semcache.codec import (
     encode_metadata,
     wire_size,
 )
-from semcache.kb import KnowledgeBase, Predicate, load_knowledge_base
+from semcache.kb import KnowledgeBase, load_knowledge_base
 from semcache.cache import Cache, CacheEntry, ContentOrigin
 from semcache.sim import (
     CacheLocation,
@@ -44,7 +44,6 @@ __all__ = [
     "MetadataDescriptor",
     "MetricsReport",
     "Mode",
-    "Predicate",
     "RequestRecord",
     "Scenario",
     "SweepSpec",

@@ -324,13 +324,9 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 def cmd_validate_kb(args: argparse.Namespace) -> int:
     kb = load_knowledge_base(_path(vars(args), "kb"))
     persons = sum(1 for e in kb.entities() if kb.kind_of(e) is EntityKind.PERSON)
-    # One triple per distinct relation line and one per type declaration.
-    triples = len(kb.descriptors) + sum(
-        len(objects) for by_subject in kb.relations.values() for objects in by_subject.values()
-    )
     sys.stdout.write(
         f"ok: {len(kb)} entities ({persons} persons, {len(kb) - persons} TV series), "
-        f"{triples} triples\n"
+        f"{kb.triples} triples\n"
     )
     return EXIT_OK
 

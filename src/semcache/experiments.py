@@ -55,6 +55,11 @@ class SweepSpec:
             raise TypeError(f"sweep variable must be a SweepVariable, got {self.variable!r}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
+        if self.variable is not SweepVariable.CACHE_LOCATION:
+            for value in self.values:
+                # Refused rather than truncated, so a point runs the value it reports.
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise TypeError(f"{self.variable.value} sweep value must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,9 +71,9 @@ class SweepPoint:
 
 def _apply(scenario: Scenario, variable: SweepVariable, value) -> Scenario:
     if variable is SweepVariable.USER_COUNT:
-        return replace(scenario, workload=replace(scenario.workload, n_users=int(value)))
+        return replace(scenario, workload=replace(scenario.workload, n_users=value))
     if variable is SweepVariable.CACHE_SIZE:
-        topo = replace(scenario.topology, cache_capacity=int(value))
+        topo = replace(scenario.topology, cache_capacity=value)
         return replace(scenario, topology=topo)
     if variable is SweepVariable.CACHE_LOCATION:
         loc = value if isinstance(value, CacheLocation) else CacheLocation(str(value))

@@ -2,10 +2,11 @@
 
 The knowledge base holds, for every entity, one metadata descriptor (its
 IRI and kind, person or TV series, built once at load), the byte size of
-the content its request returns and, per relation (``spouse`` or
-``starring``), the entity's objects as a sorted tuple of IRIs.  One-hop
-inference predicts a user's next request: for a person, the pages of their
-spouses; for a TV series, the pages of its stars.
+the content its request returns and its inference successors, also built
+once at load.  One-hop inference predicts a user's next request: for a
+person, the pages of their spouses; for a TV series, the pages of its
+stars.  Other relation lines (a person's ``starring``, a TV series's
+``spouse``) load and count as triples but are not followed.
 
 File format (UTF-8, line oriented, ``#`` comments):
 
@@ -21,10 +22,9 @@ IRI must not hold a control character (U+0000-U+001F or U+007F).
 
 from __future__ import annotations
 
-import enum
 import re
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -65,29 +65,28 @@ class UnknownEntity(KnowledgeBaseError):
         self.iri = iri
 
 
-class Predicate(enum.Enum):
-    SPOUSE = "spouse"
-    STARRING = "starring"
-
-
 _KIND_NAMES = {"Person": EntityKind.PERSON, "TVSeries": EntityKind.TV_SERIES}
 
-# Which relation the inference rule follows for each entity kind.
-_RULE = {EntityKind.PERSON: Predicate.SPOUSE, EntityKind.TV_SERIES: Predicate.STARRING}
+# The inference rule: each relation is followed from subjects of one kind.
+_RULE = {"spouse": EntityKind.PERSON, "starring": EntityKind.TV_SERIES}
 
 
 @dataclass
 class KnowledgeBase:
-    """Immutable-after-load per-entity descriptor, size and sorted relations.
+    """Immutable-after-load per-entity descriptor, size and successors.
 
     ``descriptors[iri]`` is the one descriptor of that entity, shared by
-    every request for it.  ``relations[predicate][subject]`` is the
-    subject's objects under that predicate, deduplicated and sorted by IRI.
+    every request for it.  ``successors[iri]`` is what ``infer_next``
+    returns for it: the shared descriptors of its objects under its kind's
+    relation, deduplicated and sorted by IRI, or ``()``.  ``triples`` counts
+    the distinct relation lines, followed or not, plus one type declaration
+    per entity.
     """
 
-    descriptors: dict[str, MetadataDescriptor] = field(default_factory=dict)
-    sizes: dict[str, int] = field(default_factory=dict)
-    relations: dict[Predicate, dict[str, tuple[str, ...]]] = field(default_factory=dict)
+    descriptors: dict[str, MetadataDescriptor]
+    sizes: dict[str, int]
+    successors: dict[str, tuple[MetadataDescriptor, ...]]
+    triples: int
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -107,22 +106,18 @@ class KnowledgeBase:
         except KeyError:
             raise UnknownEntity(iri) from None
 
-    def objects_of(self, subject: str, predicate: Predicate) -> tuple[str, ...]:
-        return self.relations.get(predicate, {}).get(subject, ())
 
-
-def infer_next(kb: KnowledgeBase, current: MetadataDescriptor) -> list[MetadataDescriptor]:
+def infer_next(kb: KnowledgeBase, current: MetadataDescriptor) -> tuple[MetadataDescriptor, ...]:
     """Predict the requests likely to follow ``current``, one hop only.
 
     Persons yield their spouse pages, TV series the pages of their stars,
     ordered lexicographically by IRI.  The entity's kind as declared in the
     knowledge base wins over the kind carried in the descriptor.
     """
-    iri = current.entity_iri
-    predicate = _RULE.get(kb.kind_of(iri))
-    if predicate is None:
-        return []
-    return [kb.describe(obj) for obj in kb.objects_of(iri, predicate)]
+    try:
+        return kb.successors[current.entity_iri]
+    except KeyError:
+        raise UnknownEntity(current.entity_iri) from None
 
 
 # A plain line: a quoted subject IRI, a lowercase keyword, then a quoted IRI
@@ -154,7 +149,7 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
         with open(source, encoding="utf-8") as fh:
             return load_knowledge_base(fh)
 
-    objects: dict[str, dict[str, set[str]]] = {p.value: {} for p in Predicate}
+    objects: dict[str, dict[str, set[str]]] = {name: {} for name in _RULE}
     descriptors: dict[str, MetadataDescriptor] = {}
     sizes: dict[str, int] = {}
     referenced: dict[str, int] = {}  # iri -> first line referencing it
@@ -213,8 +208,11 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
         if iri not in descriptors:
             raise MissingTypeError(iri, referenced[iri])
 
-    relations = {
-        Predicate(name): {subject: tuple(sorted(objs)) for subject, objs in by_subject.items()}
-        for name, by_subject in objects.items()
-    }
-    return KnowledgeBase(descriptors, sizes, relations)
+    successors: dict[str, tuple[MetadataDescriptor, ...]] = dict.fromkeys(descriptors, ())
+    triples = len(descriptors)
+    for name, kind in _RULE.items():
+        for subject, objs in objects[name].items():
+            triples += len(objs)
+            if descriptors[subject].entity_kind is kind:
+                successors[subject] = tuple(map(descriptors.__getitem__, sorted(objs)))
+    return KnowledgeBase(descriptors, sizes, successors, triples)

@@ -138,11 +138,9 @@ def generate_trace(kb: KnowledgeBase, spec: SyntheticSpec) -> list[TraceEntry]:
         prev: str | None = None
         for _ in range(count):
             follow = rng.random() < spec.p_follow
-            successors: list[str] = []
-            if prev is not None and follow:
-                successors = [d.entity_iri for d in infer_next(kb, kb.describe(prev))]
+            successors = infer_next(kb, kb.describe(prev)) if follow and prev is not None else ()
             if successors:
-                iri = rng.choice(successors)
+                iri = rng.choice(successors).entity_iri
             else:
                 iri = rng.choice(entities)
             entries.append(TraceEntry(t, user, cell, iri))

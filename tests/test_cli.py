@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,18 @@ class TestSimulate:
         )
         assert code == 1
         assert not out.exists()
+
+    def test_failed_rename_leaves_no_file(self, kb_file, trace_file, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        out = tmp_path / "metrics.csv"
+        code = main(["simulate", "--kb", kb_file, "--trace", trace_file, "--out", str(out)])
+        assert code == 1
+        assert "rename refused" in capsys.readouterr().err
+        assert not out.exists()
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import pytest
 
@@ -99,6 +100,22 @@ class TestRunSweep:
         scen = Scenario(topology=reference_topology(), workload=small_workload())
         with pytest.raises(TypeError, match="'user_count'"):
             SweepSpec("user_count", (2,), scen)
+
+    @pytest.mark.parametrize(
+        "variable, value",
+        [
+            (SweepVariable.USER_COUNT, 2.9),
+            (SweepVariable.USER_COUNT, True),
+            (SweepVariable.USER_COUNT, "2"),
+            (SweepVariable.CACHE_SIZE, 20_000_000.7),
+            (SweepVariable.CACHE_SIZE, 20_000_000.0),
+        ],
+    )
+    def test_count_values_must_be_ints(self, variable, value):
+        # A truncated value would run one point and report another.
+        scen = Scenario(topology=reference_topology(), workload=small_workload())
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            SweepSpec(variable, (1, value), scen)
 
 
 class TestImprovement:

@@ -1,5 +1,8 @@
+import contextlib
 import io
+import random
 import shlex
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,6 @@ from semcache.kb import (
     MissingSizeError,
     MissingTypeError,
     ParseError,
-    Predicate,
     UnknownEntity,
     _plain_tokens,
     infer_next,
@@ -44,11 +46,9 @@ class TestLoad:
     def test_counts(self):
         kb = small_kb()
         assert len(kb) == 3
-        assert kb.objects_of("wiki/A", Predicate.SPOUSE) == ("wiki/B",)
-        assert kb.relations == {
-            Predicate.SPOUSE: {"wiki/A": ("wiki/B",)},
-            Predicate.STARRING: {"wiki/S": ("wiki/A", "wiki/B")},
-        }
+        a, b = kb.describe("wiki/A"), kb.describe("wiki/B")
+        assert kb.successors == {"wiki/A": (b,), "wiki/B": (), "wiki/S": (a, b)}
+        assert kb.triples == 6
         assert {iri: kb.kind_of(iri) for iri in kb.descriptors} == {
             "wiki/A": EntityKind.PERSON,
             "wiki/B": EntityKind.PERSON,
@@ -99,7 +99,8 @@ class TestLoad:
         kb1 = load_knowledge_base(io.StringIO("\n".join(doubled)))
         kb2 = load_knowledge_base(io.StringIO("\n".join(reversed(lines))))
         kb3 = small_kb()
-        assert kb1.relations == kb2.relations == kb3.relations
+        assert kb1.successors == kb2.successors == kb3.successors
+        assert kb1.triples == kb2.triples == kb3.triples
         assert kb1.descriptors == kb2.descriptors == kb3.descriptors
         assert kb1.sizes == kb2.sizes == kb3.sizes
 
@@ -246,7 +247,7 @@ class TestInference:
     def test_person_spouse(self):
         kb = small_kb()
         result = infer_next(kb, kb.describe("wiki/A"))
-        assert result == [MetadataDescriptor("wiki/B", EntityKind.PERSON)]
+        assert result == (MetadataDescriptor("wiki/B", EntityKind.PERSON),)
 
     def test_series_stars_sorted(self):
         kb = small_kb()
@@ -255,7 +256,7 @@ class TestInference:
 
     def test_no_relations_empty(self):
         kb = small_kb()
-        assert infer_next(kb, kb.describe("wiki/B")) == []
+        assert infer_next(kb, kb.describe("wiki/B")) == ()
 
     def test_unknown_entity(self):
         kb = small_kb()
@@ -283,3 +284,57 @@ class TestInference:
             "wiki/B",
             "wiki/C",
         ]
+
+
+# IRIs whose sort order differs from their list order.
+_NAMES = ["wiki/Zed", "wiki/alice", "wiki/Bob", "wiki/bob", "wiki/Ş"]
+_RELATION = st.tuples(
+    st.integers(0, len(_NAMES) - 1),
+    st.sampled_from(["spouse", "starring"]),
+    st.integers(0, len(_NAMES) - 1),
+)
+
+
+class TestRuleAgainstOracle:
+    """Inference and the triple count on random files, against the README's rule."""
+
+    @given(
+        kinds=st.lists(st.sampled_from(["Person", "TVSeries"]), min_size=1, max_size=len(_NAMES)),
+        relations=st.lists(_RELATION, max_size=12),
+        repeats=st.lists(st.integers(0, 100), max_size=6),
+        order=st.randoms(use_true_random=False),
+    )
+    @example(
+        # A Person's starring line, a TVSeries's spouse line and a self-loop.
+        kinds=["Person", "TVSeries"],
+        relations=[(0, "starring", 1), (1, "spouse", 0), (0, "spouse", 0)],
+        repeats=[],
+        order=random.Random(0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle(self, kinds, relations, repeats, order):
+        names = _NAMES[: len(kinds)]
+        triples = {(names[s % len(names)], p, names[o % len(names)]) for s, p, o in relations}
+        lines = [f'"{s}" {p} "{o}"' for s, p, o in sorted(triples)]
+        for name, kind in zip(names, kinds):
+            lines += [f'"{name}" type {kind}', f'"{name}" size 10']
+        lines += [lines[i % len(lines)] for i in repeats]
+        order.shuffle(lines)
+        text = "\n".join(lines) + "\n"
+
+        # A Person is followed to its spouses, a TVSeries to its stars; any
+        # other relation line is loaded but not followed.
+        followed = {"Person": "spouse", "TVSeries": "starring"}
+        kb = load_knowledge_base(io.StringIO(text))
+        for name, kind in zip(names, kinds):
+            expected = sorted({o for s, p, o in triples if s == name and p == followed[kind]})
+            assert [d.entity_iri for d in infer_next(kb, kb.describe(name))] == expected
+
+        # One triple per distinct relation line and one per type declaration.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "kb.triples"
+            path.write_text(text, encoding="utf-8")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["validate-kb", "--kb", str(path)]) == 0
+        assert out.getvalue().endswith(f", {len(triples) + len(names)} triples\n")
