@@ -154,8 +154,11 @@ class Cache:
         back), so the victim is always the first or second key.
         """
         while self._stats.used + incoming > self.capacity:
-            victim = next(k for k in self._entries if k != exclude)
-            self._stats.used -= self._entries.pop(victim).size
+            if exclude is None:
+                _, entry = self._entries.popitem(last=False)
+            else:
+                entry = self._entries.pop(next(k for k in self._entries if k != exclude))
+            self._stats.used -= entry.size
             self._stats.evictions += 1
 
     def stats(self) -> CacheStats:

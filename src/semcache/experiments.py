@@ -15,8 +15,8 @@ from typing import Optional, Sequence, TextIO
 
 from semcache.kb import KnowledgeBase
 from semcache.metrics import MetricsReport
-from semcache.sim import CacheLocation, Mode, Topology, run_simulation
-from semcache.workload import SyntheticSpec, TraceEntry, generate_trace
+from semcache.sim import CacheLocation, Mode, Topology, _PreparedTrace, run_simulation
+from semcache.workload import SyntheticSpec, generate_trace
 
 
 class ExperimentError(Exception):
@@ -84,14 +84,16 @@ def _apply(scenario: Scenario, variable: SweepVariable, value) -> Scenario:
 def run_sweep(spec: SweepSpec, kb: KnowledgeBase) -> list[SweepPoint]:
     """Run both modes at every sweep value; points are keyed, order stable."""
     points: list[SweepPoint] = []
-    # Only a user-count sweep changes the workload; the others share one trace.
-    traces: dict[SyntheticSpec, list[TraceEntry]] = {}
+    # Only a user-count sweep changes the workload; the others share one
+    # trace, checked and described once for every simulation that runs it.
+    traces: dict[SyntheticSpec, _PreparedTrace] = {}
     for value in spec.values:
         try:
             scen = _apply(spec.scenario, spec.variable, value)
             workload = replace(scen.workload, seed=spec.seed)
             if workload not in traces:
-                traces[workload] = generate_trace(kb, workload)
+                trace = generate_trace(kb, workload)
+                traces[workload] = _PreparedTrace(trace, kb, scen.topology.cells)
             trace = traces[workload]
             for mode in (Mode.SEMANTIC, Mode.TRADITIONAL):
                 report, _ = run_simulation(

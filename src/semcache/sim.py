@@ -18,6 +18,11 @@ trace's requests are merged into the heap as the clock reaches them, so
 the heap holds only messages in flight.  A delivery claims all its links
 when it leaves the cache node, with no heap event (see ``_deliver``).
 
+A trace is checked and described once per (trace, KB, cell count): its
+order, each entry's descriptor, its cell range and each request's size are
+worked out before the first run, and ``run_sweep`` reuses them across its
+points.
+
 A request carries its metadata to the cache node; there the cache is
 consulted and, in Semantic mode, ``infer_next`` fires (on hits and misses
 alike) so predicted contents are prefetched from the origin concurrently
@@ -29,11 +34,12 @@ metrics and do not occupy link capacity, which keeps Semantic mode with
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from semcache.cache import Cache, ContentOrigin
 from semcache.codec import MetadataDescriptor, wire_size
@@ -126,6 +132,36 @@ class RequestRecord:
     @property
     def latency_ms(self) -> float:
         return self.completed_at - self.issued_at
+
+
+class _PreparedTrace(list):
+    """The entries of a trace, checked against one KB and cell count.
+
+    ``rows`` holds each entry's (time, user, cell, descriptor, request
+    bytes).  Each entry is checked for time order, then described, then
+    checked for its cell range, so the first bad entry's first fault is the
+    one raised.  Not to be changed once built."""
+
+    def __init__(self, trace: Iterable[TraceEntry], kb: KnowledgeBase, cells: int):
+        super().__init__(trace)
+        self.kb = kb
+        self.cells = cells
+        self.rows: list[tuple[float, int, int, MetadataDescriptor, int]] = []
+        prev_time = 0.0
+        for idx, entry in enumerate(self):
+            if entry.time_ms < prev_time:
+                raise UnsortedTrace(idx)
+            prev_time = entry.time_ms
+            descriptor = kb.describe(entry.entity_iri)
+            if not 0 <= entry.cell_id < cells:
+                raise SimulationError(f"trace entry {idx}: cell {entry.cell_id} outside topology")
+            nbytes = len(entry.entity_iri.encode("utf-8"))
+            self.rows.append((entry.time_ms, entry.user_id, entry.cell_id, descriptor, nbytes))
+
+    @functools.cached_property
+    def overhead(self) -> dict:
+        """``metadata_overhead`` of the trace, counted on first use."""
+        return metadata_overhead(self, self.kb)
 
 
 class _Channel:
@@ -231,7 +267,6 @@ class _Simulation:
     ):
         self.topology = topology
         self.kb = kb
-        self.trace = trace
         self.mode = mode
         self.max_prefetch = max_prefetch
         self.loop = _EventLoop()
@@ -261,33 +296,30 @@ class _Simulation:
                 )
             )
 
+        # Prepared after the caches, so a bad eviction policy is reported
+        # before a bad trace.  A prepared trace is reused only for the same
+        # KB object and cell count.
+        if not (isinstance(trace, _PreparedTrace) and trace.kb is kb and trace.cells == t.cells):
+            trace = _PreparedTrace(trace, kb, t.cells)
+        self.trace = trace
         self.records: list[RequestRecord] = []
         self.origin_bytes = 0  # content bytes fetched from the origin
 
     # -- request lifecycle --------------------------------------------------
 
-    def _request_bytes(self, iri: str) -> int:
-        return len(iri.encode("utf-8"))
-
     def schedule_trace(self) -> list[_Arrival]:
-        """Check the trace, record each request and return its arrivals in order."""
-        arrivals: list[_Arrival] = []
-        prev_time = 0.0
-        for idx, entry in enumerate(self.trace):
-            if entry.time_ms < prev_time:
-                raise UnsortedTrace(idx)
-            prev_time = entry.time_ms
-            descriptor = self.kb.describe(entry.entity_iri)
-            if not 0 <= entry.cell_id < self.topology.cells:
-                raise SimulationError(
-                    f"trace entry {idx}: cell {entry.cell_id} outside topology"
-                )
-            record = RequestRecord(idx, entry.user_id, entry.cell_id, descriptor, entry.time_ms)
-            self.records.append(record)
-            up = self.routes[entry.cell_id].access_up
-            nbytes = self._request_bytes(entry.entity_iri)
-            arrivals.append((entry.time_ms, up, nbytes, self._at_cache, record))
-        return arrivals
+        """Record each request and return its arrivals in order."""
+        rows = self.trace.rows
+        self.records = [
+            RequestRecord(idx, user, cell, descriptor, t)
+            for idx, (t, user, cell, descriptor, _) in enumerate(rows)
+        ]
+        ups = [route.access_up for route in self.routes]
+        at_cache = self._at_cache
+        return [
+            (t, ups[cell], nbytes, at_cache, record)
+            for (t, _, cell, _, nbytes), record in zip(rows, self.records)
+        ]
 
     def _at_cache(self, t: float, record: RequestRecord) -> None:
         route = self.routes[record.cell_id]
@@ -309,7 +341,7 @@ class _Simulation:
     ) -> None:
         """Fetch ``key`` from the origin to the route's cache node for ``waiters``."""
         fetch = (route, key, origin, waiters)
-        self.loop.send(route.origin_up, t, self._request_bytes(key), self._at_origin, fetch)
+        self.loop.send(route.origin_up, t, len(key.encode("utf-8")), self._at_origin, fetch)
 
     def _at_origin(self, t: float, fetch: _Fetch) -> None:
         route, key, _, _ = fetch
@@ -373,7 +405,7 @@ class _Simulation:
         mean_latency = sum(latencies) / len(latencies) if latencies else 0.0
 
         if self.mode is Mode.SEMANTIC:
-            overhead = metadata_overhead(self.trace, self.kb)
+            overhead = self.trace.overhead
         else:
             overhead = {"total_bytes": 0, "per_user_bytes": 0.0, "ratio_of_total_traffic": 0.0}
 
@@ -415,7 +447,10 @@ def run_simulation(
     """Run one deterministic simulation and return its metrics and records.
 
     The seed is echoed into the report for bookkeeping; the event schedule
-    itself contains no randomness.
+    itself contains no randomness.  The trace is checked and described once
+    per (trace, KB, cell count): a trace that ``run_sweep`` prepared for
+    this ``kb`` and ``topology.cells`` is run as it is, so its points share
+    that work.
     """
     if max_prefetch is not None and max_prefetch < 0:
         raise ValueError(f"max_prefetch must be >= 0, got {max_prefetch}")

@@ -1,9 +1,13 @@
 import io
 import math
 import re
+from collections import Counter
+from collections.abc import Sequence
+from dataclasses import replace
 
 import pytest
 
+import semcache.sim as sim_module
 from semcache import experiments
 from semcache.experiments import (
     Scenario,
@@ -15,9 +19,10 @@ from semcache.experiments import (
     summary_table,
     write_csv,
 )
+from semcache.kb import KnowledgeBase
 from semcache.reference import reference_kb, reference_topology, reference_workload
 from semcache.sim import CacheLocation, Mode, run_simulation
-from semcache.workload import generate_trace
+from semcache.workload import TraceEntry, generate_trace
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +94,56 @@ class TestRunSweep:
         scen = Scenario(topology=reference_topology(), workload=small_workload())
         run_sweep(SweepSpec(variable, values, scen, seed=1), kb)
         assert len(generated) == calls
+
+    def location_sweep(self, kb):
+        scen = Scenario(topology=reference_topology(), workload=small_workload())
+        run_sweep(SweepSpec(SweepVariable.CACHE_LOCATION, tuple(CacheLocation), scen, seed=1), kb)
+
+    def test_simulations_see_a_plain_trace(self, kb, monkeypatch):
+        """The benchmark swaps ``experiments.run_simulation`` for a capture
+        and reads each trace it is handed with ``len``, iteration and ``list``."""
+        real = experiments.run_simulation
+        calls = []
+
+        def capture(topology, kb, trace, mode, *args, **kwargs):
+            report, records = real(topology, kb, trace, mode, *args, **kwargs)
+            calls.append((trace, records))
+            return report, records
+
+        monkeypatch.setattr(experiments, "run_simulation", capture)
+        self.location_sweep(kb)
+        expected = generate_trace(kb, replace(small_workload(), seed=1))
+        assert len(calls) == 6
+        for trace, records in calls:
+            assert isinstance(trace, Sequence)
+            assert all(isinstance(entry, TraceEntry) for entry in trace)
+            assert list(trace) == expected
+            assert len(trace) == len(records)
+
+    def test_trace_described_once_per_sweep(self, kb, monkeypatch):
+        """Every simulation of a sweep reuses its trace's descriptors and
+        header sizes: each is worked out once, not once per point."""
+        calls = Counter()
+        wire_size, describe = sim_module.wire_size, KnowledgeBase.describe
+
+        def counting_wire_size(descriptor):
+            calls["wire_size"] += 1
+            return wire_size(descriptor)
+
+        def counting_describe(self, iri):
+            calls["describe"] += 1
+            return describe(self, iri)
+
+        monkeypatch.setattr(sim_module, "wire_size", counting_wire_size)
+        monkeypatch.setattr(KnowledgeBase, "describe", counting_describe)
+        trace = generate_trace(kb, replace(small_workload(), seed=1))
+        by_generate = calls["describe"]
+        calls.clear()
+        self.location_sweep(kb)
+        distinct = len({entry.entity_iri for entry in trace})
+        assert calls["wire_size"] == distinct
+        # The trace's entries once, plus generate_trace and metadata_overhead.
+        assert calls["describe"] == len(trace) + by_generate + distinct
 
     def test_failure_names_sweep_point(self, kb):
         scen = Scenario(topology=reference_topology(), workload=small_workload())

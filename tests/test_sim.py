@@ -4,13 +4,16 @@ import io
 import math
 import types
 import weakref
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semcache.sim as sim_module
+from semcache import experiments
 from semcache.kb import UnknownEntity, load_knowledge_base
+from semcache.reference import reference_kb, reference_workload
 from semcache.sim import (
     CacheLocation,
     LinkSpec,
@@ -567,6 +570,24 @@ class TestValidation:
         with pytest.raises(Exception, match="cell"):
             run_simulation(topo(), kb, trace, Mode.TRADITIONAL)
 
+    def test_cell_error_precedes_a_later_unsorted_entry(self):
+        trace = [
+            TraceEntry(0.0, 0, 5, "wiki/Alice"),
+            TraceEntry(2.0, 0, 0, "wiki/Bob"),
+            TraceEntry(1.0, 0, 0, "wiki/Alice"),
+        ]
+        with pytest.raises(SimulationError, match=r"^trace entry 0: cell 5 outside topology$"):
+            run_simulation(topo(), pair_kb(), trace, Mode.TRADITIONAL)
+
+    def test_unknown_entity_precedes_a_later_unsorted_entry(self):
+        trace = [
+            TraceEntry(0.0, 0, 0, "wiki/Nope"),
+            TraceEntry(2.0, 0, 0, "wiki/Bob"),
+            TraceEntry(1.0, 0, 0, "wiki/Alice"),
+        ]
+        with pytest.raises(UnknownEntity):
+            run_simulation(topo(), pair_kb(), trace, Mode.TRADITIONAL)
+
     def test_negative_max_prefetch(self):
         trace = [TraceEntry(0.0, 0, 0, "wiki/Alice")]
         with pytest.raises(ValueError, match="max_prefetch"):
@@ -587,6 +608,44 @@ class TestValidation:
         ]
         with pytest.raises(SimulationError, match="request 1 "):
             run_simulation(topo(), pair_kb(), trace, Mode.TRADITIONAL)
+
+
+def swept_trace(kb, topology, workload):
+    """The trace that ``run_sweep`` hands to its simulations."""
+    traces = []
+    real = experiments.run_simulation
+
+    def capture(topology, kb, trace, *args, **kwargs):
+        traces.append(trace)
+        return real(topology, kb, trace, *args, **kwargs)
+
+    scenario = experiments.Scenario(topology, workload)
+    spec = experiments.SweepSpec(experiments.SweepVariable.CACHE_SIZE, (20_000_000,), scenario)
+    with mock.patch.object(experiments, "run_simulation", capture):
+        experiments.run_sweep(spec, kb)
+    return traces[0]
+
+
+class TestSweptTrace:
+    """A trace that a sweep checked for one KB and cell count is checked
+    again when it runs with another."""
+
+    def test_fewer_cells_raise_the_cell_error(self):
+        kb = reference_kb()
+        trace = swept_trace(kb, topo(cells=2), replace(reference_workload(4), n_cells=2))
+        first = next(i for i, entry in enumerate(trace) if entry.cell_id == 1)
+        message = rf"^trace entry {first}: cell 1 outside topology$"
+        with pytest.raises(SimulationError, match=message):
+            run_simulation(topo(cells=1), kb, trace, Mode.TRADITIONAL)
+
+    def test_equal_kb_loaded_again(self):
+        workload = reference_workload(4)
+        trace = swept_trace(reference_kb(), topo(cells=4), workload)
+        kb = reference_kb()
+        _, records = run_simulation(topo(cells=4), kb, trace, Mode.SEMANTIC)
+        _, expected = run_simulation(topo(cells=4), kb, list(trace), Mode.SEMANTIC)
+        assert records == expected
+        assert all(r.descriptor is kb.describe(r.descriptor.entity_iri) for r in records)
 
 
 class TestDeterminism:
