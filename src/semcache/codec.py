@@ -71,6 +71,15 @@ def _check_iri(iri: str) -> None:
         raise ValueError("entity_iri must not contain control characters")
 
 
+def _record_len(iri_len: int) -> int:
+    """Length of the canonical record for an IRI of ``iri_len`` UTF-8 bytes."""
+    if 3 + iri_len > MAX_METADATA_BYTES:
+        raise MetadataTooLarge(
+            f"serialized descriptor is {3 + iri_len} bytes, limit is {MAX_METADATA_BYTES}"
+        )
+    return 3 + iri_len
+
+
 @dataclass(frozen=True, slots=True)
 class MetadataDescriptor:
     """Canonical semantic description of a request."""
@@ -83,11 +92,7 @@ class MetadataDescriptor:
 
     def to_bytes(self) -> bytes:
         iri = self.entity_iri.encode("utf-8")
-        if 3 + len(iri) > MAX_METADATA_BYTES:
-            raise MetadataTooLarge(
-                f"serialized descriptor is {3 + len(iri)} bytes, "
-                f"limit is {MAX_METADATA_BYTES}"
-            )
+        _record_len(len(iri))
         return bytes([self.entity_kind.value]) + len(iri).to_bytes(2, "big") + iri
 
     @classmethod
@@ -231,7 +236,13 @@ def decode_metadata(header: HopByHopHeader) -> MetadataDescriptor:
     return MetadataDescriptor.from_bytes(b"".join(chunks))
 
 
+def _header_size(iri_len: int) -> int:
+    """Wire size of the header carrying a descriptor whose IRI is ``iri_len``
+    UTF-8 bytes long: the size depends on that length alone."""
+    raw = _unpadded_size(_record_len(iri_len))
+    return raw + (-raw % 8)
+
+
 def wire_size(descriptor: MetadataDescriptor) -> int:
     """Exact wire size of ``encode_metadata(descriptor)`` without building it."""
-    raw = _unpadded_size(len(descriptor.to_bytes()))
-    return raw + (-raw % 8)
+    return _header_size(len(descriptor.entity_iri.encode("utf-8")))

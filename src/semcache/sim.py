@@ -21,7 +21,9 @@ when it leaves the cache node, with no heap event (see ``_deliver``).
 A trace is checked and described once per (trace, KB, cell count): its
 order, each entry's descriptor, its cell range and each request's size are
 worked out before the first run, and ``run_sweep`` reuses them across its
-points.
+points.  A metadata header's size depends only on its IRI's UTF-8 byte
+length, so a Semantic run's overhead is counted from the request sizes
+already worked out, with no header built.
 
 A request carries its metadata to the cache node; there the cache is
 consulted and, in Semantic mode, ``infer_next`` fires (on hits and misses
@@ -36,14 +38,18 @@ from __future__ import annotations
 import enum
 import functools
 import heapq
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from semcache.cache import Cache, ContentOrigin
-from semcache.codec import MetadataDescriptor, wire_size
-from semcache.kb import KnowledgeBase, infer_next
+# Not called here: ``sim.wire_size`` stays importable because the
+# benchmark's tracer wraps it there to time the codec.
+from semcache.codec import MetadataDescriptor, _header_size, wire_size  # noqa: F401
+from semcache.kb import KnowledgeBase, UnknownEntity, infer_next
 from semcache.metrics import MetricsReport
 from semcache.workload import TraceEntry
 
@@ -161,7 +167,12 @@ class _PreparedTrace(list):
     @functools.cached_property
     def overhead(self) -> dict:
         """``metadata_overhead`` of the trace, counted on first use."""
-        return metadata_overhead(self, self.kb)
+        rows, sizes = self.rows, self.kb.sizes
+        return _count_overhead(
+            map(itemgetter(1), rows),
+            map(itemgetter(4), rows),
+            (sizes[descriptor.entity_iri] for _, _, _, descriptor, _ in rows),
+        )
 
 
 class _Channel:
@@ -217,7 +228,7 @@ class _EventLoop:
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []
-        self._seq = 0
+        self._seq = itertools.count()  # shared by ``send`` and ``run``
 
     def send(
         self,
@@ -231,27 +242,29 @@ class _EventLoop:
         """Claim ``channels[index]`` at ``t``.  A new message claims its first
         channel at once, so that equal-time sends keep their order."""
         arrive = channels[index].transfer(t, nbytes)
-        heapq.heappush(self._heap, (arrive, self._seq, channels, index + 1, nbytes, then, arg))
-        self._seq += 1
+        event = (arrive, next(self._seq), channels, index + 1, nbytes, then, arg)
+        heapq.heappush(self._heap, event)
 
-    def run(self, arrivals: Sequence[_Arrival] = ()) -> None:
+    def run(self, arrivals: Iterable[_Arrival] = ()) -> None:
         """Run until the heap is empty, merging in the time-ordered ``arrivals``:
-        each is sent when its time is at most that of the heap's next event."""
-        heap = self._heap
-        pop, send = heapq.heappop, self.send
+        each is sent when its time is at most that of the heap's next event.
+        The loop claims each hop itself, as ``send`` would."""
+        heap, seq = self._heap, self._seq
+        pop, push = heapq.heappop, heapq.heappush
         pending = iter(arrivals)
         arrival = next(pending, None)
         while heap or arrival is not None:
             if arrival is not None and (not heap or arrival[0] <= heap[0][0]):
                 time, channels, nbytes, then, arg = arrival
+                index = 0
                 arrival = next(pending, None)
-                send(channels, time, nbytes, then, arg)
-                continue
-            time, _, channels, index, nbytes, then, arg = pop(heap)
-            if index < len(channels):
-                send(channels, time, nbytes, then, arg, index)
             else:
-                then(time, arg)
+                time, _, channels, index, nbytes, then, arg = pop(heap)
+                if index == len(channels):
+                    then(time, arg)
+                    continue
+            arrive = channels[index].transfer(time, nbytes)
+            push(heap, (arrive, next(seq), channels, index + 1, nbytes, then, arg))
 
 
 class _Simulation:
@@ -307,8 +320,8 @@ class _Simulation:
 
     # -- request lifecycle --------------------------------------------------
 
-    def schedule_trace(self) -> list[_Arrival]:
-        """Record each request and return its arrivals in order."""
+    def schedule_trace(self) -> Iterator[_Arrival]:
+        """Record each request and return an iterator of its arrivals in order."""
         rows = self.trace.rows
         self.records = [
             RequestRecord(idx, user, cell, descriptor, t)
@@ -316,10 +329,10 @@ class _Simulation:
         ]
         ups = [route.access_up for route in self.routes]
         at_cache = self._at_cache
-        return [
+        return (
             (t, ups[cell], nbytes, at_cache, record)
             for (t, _, cell, _, nbytes), record in zip(rows, self.records)
-        ]
+        )
 
     def _at_cache(self, t: float, record: RequestRecord) -> None:
         route = self.routes[record.cell_id]
@@ -475,15 +488,31 @@ def metadata_overhead(trace: Sequence[TraceEntry], kb: KnowledgeBase) -> dict:
     """Bytes added by carrying metadata headers, versus delivered content.
 
     Per request the overhead is the full wire size of its hop-by-hop header
-    (a request without the framework carries no such header at all).  Each
-    entity's header is sized once and counted once per request for it.
+    (a request without the framework carries no such header at all).  A
+    header's size depends only on its IRI's UTF-8 byte length, so each
+    distinct length is sized once and counted once per request of that length.
     """
-    requests = Counter(entry.entity_iri for entry in trace)
-    total = sum(wire_size(kb.describe(iri)) * n for iri, n in requests.items())
-    content = sum(kb.sizes[iri] * n for iri, n in requests.items())
-    users = {entry.user_id for entry in trace}
+    iris = [entry.entity_iri for entry in trace]
+    unknown = next((iri for iri in iris if iri not in kb), None)
+    if unknown is not None:
+        raise UnknownEntity(unknown)
+    return _count_overhead(
+        (entry.user_id for entry in trace),
+        (len(iri.encode("utf-8")) for iri in iris),
+        map(kb.sizes.__getitem__, iris),
+    )
+
+
+def _count_overhead(
+    users: Iterable[int], iri_lengths: Iterable[int], content_sizes: Iterable[int]
+) -> dict:
+    """``metadata_overhead`` from each request's user, IRI byte length and
+    content size, with no header built."""
+    total = sum(_header_size(nbytes) * n for nbytes, n in Counter(iri_lengths).items())
+    content = sum(content_sizes)
+    n_users = len(set(users))
     return {
         "total_bytes": total,
-        "per_user_bytes": total / len(users) if users else 0.0,
+        "per_user_bytes": total / n_users if n_users else 0.0,
         "ratio_of_total_traffic": total / content if content else 0.0,
     }

@@ -15,6 +15,7 @@ from semcache.codec import (
     OPT_PAD1,
     OPT_PADN,
     UnparseableMetadata,
+    _header_size,
     decode_metadata,
     encode_metadata,
     wire_size,
@@ -68,6 +69,23 @@ class TestEncode:
             encode_metadata(d)
         with pytest.raises(MetadataTooLarge):
             wire_size(d)
+
+    @pytest.mark.parametrize("char", ["x", "é", "€", "😀"])
+    def test_header_size_is_a_law_of_the_iri_byte_length(self, char):
+        # Filled up with ASCII, an IRI of ``char``s takes every byte length.
+        width = len(char.encode("utf-8"))
+        for n in range(1, 2028):
+            iri = char * (n // width) + "x" * (n % width)
+            assert len(iri.encode("utf-8")) == n
+            header = encode_metadata(MetadataDescriptor(iri, EntityKind.PERSON))
+            assert _header_size(n) == len(header.to_bytes()), n
+
+    def test_header_size_refuses_what_encode_refuses(self):
+        message = "serialized descriptor is 2031 bytes, limit is 2030"
+        with pytest.raises(MetadataTooLarge, match=f"^{message}$"):
+            _header_size(2028)
+        with pytest.raises(MetadataTooLarge, match=f"^{message}$"):
+            encode_metadata(MetadataDescriptor("é" * 1014, EntityKind.PERSON))
 
     def test_four_byte_payload_single_unpadded_option(self):
         d = descriptor_with_payload_len(4)

@@ -122,28 +122,28 @@ class TestRunSweep:
 
     def test_trace_described_once_per_sweep(self, kb, monkeypatch):
         """Every simulation of a sweep reuses its trace's descriptors and
-        header sizes: each is worked out once, not once per point."""
+        header sizes: each is worked out once, not once per point.  A header
+        is sized once per distinct IRI byte length, with no further ``describe``."""
         calls = Counter()
-        wire_size, describe = sim_module.wire_size, KnowledgeBase.describe
+        header_size, describe = sim_module._header_size, KnowledgeBase.describe
 
-        def counting_wire_size(descriptor):
-            calls["wire_size"] += 1
-            return wire_size(descriptor)
+        def counting_header_size(iri_len):
+            calls["header_size"] += 1
+            return header_size(iri_len)
 
         def counting_describe(self, iri):
             calls["describe"] += 1
             return describe(self, iri)
 
-        monkeypatch.setattr(sim_module, "wire_size", counting_wire_size)
+        monkeypatch.setattr(sim_module, "_header_size", counting_header_size)
         monkeypatch.setattr(KnowledgeBase, "describe", counting_describe)
         trace = generate_trace(kb, replace(small_workload(), seed=1))
         by_generate = calls["describe"]
         calls.clear()
         self.location_sweep(kb)
-        distinct = len({entry.entity_iri for entry in trace})
-        assert calls["wire_size"] == distinct
-        # The trace's entries once, plus generate_trace and metadata_overhead.
-        assert calls["describe"] == len(trace) + by_generate + distinct
+        assert calls["header_size"] == len({len(e.entity_iri.encode()) for e in trace})
+        # The trace's entries once, plus generate_trace.
+        assert calls["describe"] == len(trace) + by_generate
 
     def test_failure_names_sweep_point(self, kb):
         scen = Scenario(topology=reference_topology(), workload=small_workload())

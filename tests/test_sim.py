@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import semcache.sim as sim_module
 from semcache import experiments
+from semcache.codec import MetadataTooLarge, encode_metadata
 from semcache.kb import UnknownEntity, load_knowledge_base
 from semcache.reference import reference_kb, reference_workload
 from semcache.sim import (
@@ -116,6 +117,30 @@ class TestEventLoop:
 
     def test_later_arrival_waits_for_heap_top(self):
         assert self._contend(5.5) == [(6.0, "heap"), (7.0, "arrival")]
+
+    @pytest.mark.parametrize("hop_first", [True, False])
+    def test_loop_hop_and_handler_send_claim_in_pop_order(self, hop_first):
+        """At 5 ms the loop pops a message due to claim the contended channel
+        for its second hop, and a message whose handler sends over that
+        channel.  Whichever of the two was sent first claims it first."""
+        channel = _Channel(LinkSpec(0.0, 1000.0))
+        arrivals = []
+
+        def then(t, arg):
+            arrivals.append((t, arg))
+
+        def send_over_channel(t, arg):
+            loop.send((channel,), t, 1000, then, "sent")
+
+        loop = _EventLoop()
+        # 1 ms + 4 ms to reach the channel, and an empty message over 5 ms.
+        hop = ((_Channel(LinkSpec(4.0, 1000.0)), channel), 0.0, 1000, then, "hop")
+        trigger = ((_Channel(LinkSpec(5.0, 1000.0)),), 0.0, 0, send_over_channel, None)
+        for message in (hop, trigger) if hop_first else (trigger, hop):
+            loop.send(*message)
+        loop.run()
+        first, second = ("hop", "sent") if hop_first else ("sent", "hop")
+        assert arrivals == [(6.0, first), (7.0, second)]
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_delivery_completes_at_last_link(self, k):
@@ -700,3 +725,58 @@ class TestMetadataOverhead:
         assert out["total_bytes"] == 20 * 64
         assert out["per_user_bytes"] == 1280.0
         assert out["ratio_of_total_traffic"] == pytest.approx(1280 / 12_800_000)
+
+    def test_unknown_entity(self):
+        with pytest.raises(UnknownEntity):
+            metadata_overhead([TraceEntry(0.0, 0, 0, "wiki/Nope")], pair_kb())
+
+    # IRIs of 1 to 600 UTF-8 bytes, multi-byte characters included, that the
+    # KB parser reads as plain quoted IRIs.
+    _IRIS = st.lists(
+        st.text(alphabet="ab/_-0éü€😀", min_size=1, max_size=150),
+        min_size=1,
+        max_size=5,
+        unique=True,
+    )
+
+    @given(
+        iris=_IRIS,
+        sizes=st.lists(st.integers(1, 200_000), min_size=5, max_size=5),
+        steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), min_size=1, max_size=12),
+    )
+    @example(iris=["😀" * 150, "x"], sizes=[1, 2, 3, 4, 5], steps=[(0, 0), (1, 1), (0, 0)])
+    @settings(max_examples=100, deadline=None)
+    def test_semantic_run_counts_every_header(self, iris, sizes, steps):
+        text = "".join(
+            f'"{iri}" type Person\n"{iri}" size {size}\n' for iri, size in zip(iris, sizes)
+        )
+        kb = load_knowledge_base(io.StringIO(text))
+        trace = [
+            TraceEntry(float(t), user, 0, iris[entity % len(iris)])
+            for t, (user, entity) in enumerate(steps)
+        ]
+        total = sum(len(encode_metadata(kb.describe(e.entity_iri)).to_bytes()) for e in trace)
+        oracle = {
+            "total_bytes": total,
+            "per_user_bytes": total / len({e.user_id for e in trace}),
+            "ratio_of_total_traffic": total / sum(kb.sizes[e.entity_iri] for e in trace),
+        }
+        report, _ = run_simulation(topo(), kb, trace, Mode.SEMANTIC)
+        assert metadata_overhead(trace, kb) == oracle
+        assert {
+            "total_bytes": report.metadata_overhead_bytes,
+            "per_user_bytes": report.per_user_metadata_bytes,
+            "ratio_of_total_traffic": report.metadata_traffic_ratio,
+        } == oracle
+
+    def test_iri_over_the_header_limit(self):
+        # 2,028 UTF-8 bytes: one more than a header can carry.
+        iri = "wiki/" + "é" * 1011 + "x"
+        assert len(iri.encode("utf-8")) == 2028
+        kb = load_knowledge_base(io.StringIO(f'"{iri}" type Person\n"{iri}" size 500\n'))
+        trace = [TraceEntry(0.0, 0, 0, iri)]
+        with pytest.raises(MetadataTooLarge, match="^serialized descriptor is 2031 bytes"):
+            run_simulation(topo(), kb, trace, Mode.SEMANTIC)
+        report, _ = run_simulation(topo(), kb, trace, Mode.TRADITIONAL)
+        assert report.metadata_overhead_bytes == 0
+        assert report.per_user_metadata_bytes == report.metadata_traffic_ratio == 0.0
