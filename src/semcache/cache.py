@@ -20,6 +20,9 @@ from dataclasses import dataclass, asdict
 from typing import Hashable, Optional
 
 
+EVICTION_POLICIES = ("lru", "fifo")
+
+
 class CacheError(Exception):
     pass
 
@@ -61,7 +64,7 @@ class Cache:
     def __init__(self, capacity: int, policy: str = "lru"):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if policy not in ("lru", "fifo"):
+        if policy not in EVICTION_POLICIES:
             raise ValueError(f"unknown eviction policy {policy!r}")
         self.capacity = capacity
         self.policy = policy

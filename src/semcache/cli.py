@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple, Optional
 import yaml
 
 from semcache import codec as codec_mod
+from semcache.cache import EVICTION_POLICIES
 from semcache.codec import EntityKind, HopByHopHeader, MetadataDescriptor
 from semcache.experiments import (
     Scenario,
@@ -122,11 +123,9 @@ def _member(kind: type[enum.Enum]):
     return lambda raw: kind(str(raw).lower())
 
 
-def _eviction(raw) -> str:
-    value = str(raw).lower()
-    if value not in ("lru", "fifo"):
-        raise ValueError("must be lru or fifo")
-    return value
+_eviction = _within(
+    lambda raw: str(raw).lower(), EVICTION_POLICIES.__contains__, "must be lru or fifo"
+)
 
 
 class _Key(NamedTuple):
@@ -147,7 +146,7 @@ SETTINGS: dict[str, _Key] = {
         _positive_int, f"cache capacity in bytes (default: {Topology.cache_capacity})"
     ),
     "cells": _Key(_positive_int, f"number of eNodeB cells (default: {Topology.cells})"),
-    "eviction": _Key(_eviction, "eviction policy (default: lru)"),
+    "eviction": _Key(_eviction, f"eviction policy (default: {Topology.eviction})"),
     "seed": _Key(_int, "RNG seed (default: SEMCACHE_SEED or 0)"),
     "max_prefetch": _Key(_count, "cap prefetches per request (default: unlimited)"),
     "n_users": _Key(_positive_int, "users in the synthetic workload (default: 20)"),
@@ -200,7 +199,8 @@ def _topology(settings: dict) -> Topology:
         delay, bandwidth = f"{link}_delay_ms", f"{link}_bandwidth"
         fields = {delay: "propagation_delay_ms", bandwidth: "bandwidth_bytes_per_ms"}
         links[link] = _replace(getattr(base, link), settings, fields)
-    fields = {"cells": "cells", "cache_location": "cache_location", "cache_size": "cache_capacity"}
+    keys = ("cells", "cache_location", "eviction", "max_prefetch")
+    fields = {key: key for key in keys} | {"cache_size": "cache_capacity"}
     return _replace(base, settings, fields, **links)
 
 
@@ -209,11 +209,6 @@ def _workload(settings: dict) -> SyntheticSpec:
     fields = {key: key for key in keys} | {"cells": "n_cells"}
     # SyntheticSpec has no default user count; the CLI's is 20.
     return _replace(SyntheticSpec(n_users=20), settings, fields)
-
-
-def _run_options(settings: dict) -> dict:
-    """The ``eviction`` and ``max_prefetch`` given; the library has the defaults."""
-    return {key: settings[key] for key in ("eviction", "max_prefetch") if key in settings}
 
 
 def _path(settings: dict, key: str) -> str:
@@ -257,9 +252,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     kb = load_knowledge_base(kb_path)
     trace = load_trace(trace_path)
-    report, records = run_simulation(
-        topology, kb, trace, mode, settings.get("seed", 0), **_run_options(settings)
-    )
+    report, records = run_simulation(topology, kb, trace, mode, settings.get("seed", 0))
 
     if args.out:
         sink = io.StringIO()
@@ -295,7 +288,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     key = "n_users" if variable is SweepVariable.USER_COUNT else variable.value
     values = tuple(_read(key, v, "values") for v in args.values)
 
-    scenario = Scenario(_topology(settings), workload=_workload(settings), **_run_options(settings))
+    scenario = Scenario(_topology(settings), _workload(settings))
     spec = SweepSpec(variable, values, scenario, seed=settings.get("seed", 0))
     points = run_sweep(spec, load_knowledge_base(kb_path))
     if args.out:

@@ -11,7 +11,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from semcache.kb import KnowledgeBase
 from semcache.metrics import MetricsReport
@@ -35,16 +35,18 @@ class SweepVariable(enum.Enum):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fixed parameters shared by all points of a sweep."""
+    """Fixed parameters shared by all points of a sweep.  ``run_sweep``
+    replaces ``workload.seed`` with the ``SweepSpec``'s seed."""
 
     topology: Topology
     workload: SyntheticSpec
-    eviction: str = "lru"
-    max_prefetch: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep of ``variable`` over ``values``.  ``seed`` seeds every point's
+    trace and report; the scenario's ``workload.seed`` is not used."""
+
     variable: SweepVariable
     values: tuple
     scenario: Scenario
@@ -55,11 +57,13 @@ class SweepSpec:
             raise TypeError(f"sweep variable must be a SweepVariable, got {self.variable!r}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
-        if self.variable is not SweepVariable.CACHE_LOCATION:
-            for value in self.values:
-                # Refused rather than truncated, so a point runs the value it reports.
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise TypeError(f"{self.variable.value} sweep value must be an int, got {value!r}")
+        location = self.variable is SweepVariable.CACHE_LOCATION
+        kind, cls = ("a CacheLocation", CacheLocation) if location else ("an int", int)
+        for value in self.values:
+            # Refused before any point runs, never truncated or converted, so
+            # a point runs the value it reports.
+            if not isinstance(value, cls) or isinstance(value, bool):
+                raise TypeError(f"{self.variable.value} sweep value must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,7 @@ def _apply(scenario: Scenario, variable: SweepVariable, value) -> Scenario:
         topo = replace(scenario.topology, cache_capacity=value)
         return replace(scenario, topology=topo)
     if variable is SweepVariable.CACHE_LOCATION:
-        loc = value if isinstance(value, CacheLocation) else CacheLocation(str(value))
-        topo = replace(scenario.topology, cache_location=loc)
+        topo = replace(scenario.topology, cache_location=value)
         return replace(scenario, topology=topo)
 
 
@@ -96,15 +99,7 @@ def run_sweep(spec: SweepSpec, kb: KnowledgeBase) -> list[SweepPoint]:
                 traces[workload] = _PreparedTrace(trace, kb, scen.topology.cells)
             trace = traces[workload]
             for mode in (Mode.SEMANTIC, Mode.TRADITIONAL):
-                report, _ = run_simulation(
-                    scen.topology,
-                    kb,
-                    trace,
-                    mode,
-                    spec.seed,
-                    eviction=scen.eviction,
-                    max_prefetch=scen.max_prefetch,
-                )
+                report, _ = run_simulation(scen.topology, kb, trace, mode, spec.seed)
                 report.scenario["sweep_variable"] = spec.variable.value
                 report.scenario["sweep_value"] = _value_str(value)
                 points.append(SweepPoint(value, mode, report))

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-from semcache.cache import Cache, ContentOrigin
+from semcache.cache import EVICTION_POLICIES, Cache, ContentOrigin
 # Not called here: ``sim.wire_size`` stays importable because the
 # benchmark's tracer wraps it there to time the codec.
 from semcache.codec import MetadataDescriptor, _header_size, wire_size  # noqa: F401
@@ -107,12 +107,18 @@ class Topology:
     pgw_inet: LinkSpec = LinkSpec(20.0, DEFAULT_BANDWIDTH)
     cache_location: CacheLocation = CacheLocation.ENODEB
     cache_capacity: int = 20_000_000
+    eviction: str = "lru"
+    max_prefetch: Optional[int] = None  # prefetches per request; None: all
 
     def __post_init__(self) -> None:
         if self.cells <= 0:
             raise ValueError("cells must be positive")
         if self.cache_capacity <= 0:
             raise ValueError("cache_capacity must be positive")
+        if self.eviction not in EVICTION_POLICIES:
+            raise ValueError(f"eviction must be lru or fifo, got {self.eviction!r}")
+        if self.max_prefetch is not None and self.max_prefetch < 0:
+            raise ValueError(f"max_prefetch must be >= 0, got {self.max_prefetch}")
 
     def scenario_dict(self) -> dict:
         links = {name: getattr(self, name) for name in LINKS}
@@ -230,19 +236,11 @@ class _EventLoop:
         self._heap: list[tuple] = []
         self._seq = itertools.count()  # shared by ``send`` and ``run``
 
-    def send(
-        self,
-        channels: _Path,
-        t: float,
-        nbytes: float,
-        then: _Then,
-        arg: Any,
-        index: int = 0,
-    ) -> None:
-        """Claim ``channels[index]`` at ``t``.  A new message claims its first
-        channel at once, so that equal-time sends keep their order."""
-        arrive = channels[index].transfer(t, nbytes)
-        event = (arrive, next(self._seq), channels, index + 1, nbytes, then, arg)
+    def send(self, channels: _Path, t: float, nbytes: float, then: _Then, arg: Any) -> None:
+        """Send a new message: claim ``channels[0]`` at ``t`` at once, so that
+        equal-time sends keep their order."""
+        arrive = channels[0].transfer(t, nbytes)
+        event = (arrive, next(self._seq), channels, 1, nbytes, then, arg)
         heapq.heappush(self._heap, event)
 
     def run(self, arrivals: Iterable[_Arrival] = ()) -> None:
@@ -269,19 +267,12 @@ class _EventLoop:
 
 class _Simulation:
     def __init__(
-        self,
-        topology: Topology,
-        kb: KnowledgeBase,
-        trace: Sequence[TraceEntry],
-        mode: Mode,
-        *,
-        max_prefetch: Optional[int],
-        eviction: str,
+        self, topology: Topology, kb: KnowledgeBase, trace: Sequence[TraceEntry], mode: Mode
     ):
         self.topology = topology
         self.kb = kb
         self.mode = mode
-        self.max_prefetch = max_prefetch
+        self.max_prefetch = topology.max_prefetch
         self.loop = _EventLoop()
 
         t = topology
@@ -290,7 +281,7 @@ class _Simulation:
         shared_up = (_Channel(t.sgw_pgw), _Channel(t.pgw_inet))
         shared_down = (_Channel(t.sgw_pgw), _Channel(t.pgw_inet))
         n_caches = t.cells if per_cell else 1
-        self.caches = [Cache(t.cache_capacity, eviction) for _ in range(n_caches)]
+        self.caches = [Cache(t.cache_capacity, t.eviction) for _ in range(n_caches)]
         pending: list[dict[str, _Waiters]] = [{} for _ in range(n_caches)]
         self.routes: list[_CellRoutes] = []
         for cell in range(t.cells):
@@ -309,9 +300,7 @@ class _Simulation:
                 )
             )
 
-        # Prepared after the caches, so a bad eviction policy is reported
-        # before a bad trace.  A prepared trace is reused only for the same
-        # KB object and cell count.
+        # A prepared trace is reused only for the same KB object and cell count.
         if not (isinstance(trace, _PreparedTrace) and trace.kb is kb and trace.cells == t.cells):
             trace = _PreparedTrace(trace, kb, t.cells)
         self.trace = trace
@@ -453,28 +442,17 @@ def run_simulation(
     trace: Sequence[TraceEntry],
     mode: Mode,
     seed: int = 0,
-    *,
-    max_prefetch: Optional[int] = None,
-    eviction: str = "lru",
 ) -> tuple[MetricsReport, list[RequestRecord]]:
     """Run one deterministic simulation and return its metrics and records.
 
+    ``topology`` also sets the caches' eviction policy and the prefetch cap.
     The seed is echoed into the report for bookkeeping; the event schedule
     itself contains no randomness.  The trace is checked and described once
     per (trace, KB, cell count): a trace that ``run_sweep`` prepared for
     this ``kb`` and ``topology.cells`` is run as it is, so its points share
     that work.
     """
-    if max_prefetch is not None and max_prefetch < 0:
-        raise ValueError(f"max_prefetch must be >= 0, got {max_prefetch}")
-    sim = _Simulation(
-        topology,
-        kb,
-        trace,
-        mode,
-        max_prefetch=max_prefetch,
-        eviction=eviction,
-    )
+    sim = _Simulation(topology, kb, trace, mode)
     # The arrivals hold bound methods of ``sim``; kept on it, they would tie
     # it and its records into a reference cycle that outlives the run.
     sim.loop.run(sim.schedule_trace())

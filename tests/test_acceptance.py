@@ -8,6 +8,7 @@ import io
 import random
 import string
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -213,7 +214,7 @@ def test_criterion_5_zero_prefetch_equivalence(kb):
         )
         trace = generate_trace(kb, spec)
         _, sem = run_simulation(
-            topology, kb, trace, Mode.SEMANTIC, seed, max_prefetch=0
+            replace(topology, max_prefetch=0), kb, trace, Mode.SEMANTIC, seed
         )
         _, trad = run_simulation(topology, kb, trace, Mode.TRADITIONAL, seed)
         assert [r.served_from for r in sem] == [r.served_from for r in trad], seed

@@ -145,6 +145,42 @@ class TestRunSweep:
         # The trace's entries once, plus generate_trace.
         assert calls["describe"] == len(trace) + by_generate
 
+    def test_topology_run_knobs_reach_every_point(self, kb):
+        """A sweep runs its topology's eviction policy and prefetch cap: each
+        point equals a direct run on that topology, and Semantic prefetches
+        nothing.  At 500 kB FIFO and LRU give different reports."""
+        topology = replace(reference_topology(), eviction="fifo", max_prefetch=0)
+        scen = Scenario(topology, small_workload())
+        points = run_sweep(SweepSpec(SweepVariable.CACHE_SIZE, (500_000, 20_000_000), scen, 1), kb)
+        trace = generate_trace(kb, replace(small_workload(), seed=1))
+        for p in points:
+            point_topology = replace(topology, cache_capacity=p.value)
+            direct, _ = run_simulation(point_topology, kb, trace, p.mode, 1)
+            direct.scenario.update(sweep_variable="cache_size", sweep_value=str(p.value))
+            assert p.report == direct
+            if p.mode is Mode.SEMANTIC:
+                assert p.report.prefetched_bytes == 0
+            if p.value == 500_000:
+                lru = replace(point_topology, eviction="lru")
+                assert run_simulation(lru, kb, trace, p.mode, 1)[0] != direct
+
+    @pytest.mark.parametrize("value", ["nope", "enodeb"])
+    def test_location_values_must_be_cache_locations(self, kb, monkeypatch, value):
+        """A bad location is refused before any point runs."""
+        calls = []
+        real = experiments.run_simulation
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_simulation", counting)
+        scen = Scenario(topology=reference_topology(), workload=small_workload())
+        with pytest.raises(TypeError, match=repr(value)):
+            spec = SweepSpec(SweepVariable.CACHE_LOCATION, (CacheLocation.ENODEB, value), scen)
+            run_sweep(spec, kb)
+        assert calls == []
+
     def test_failure_names_sweep_point(self, kb):
         scen = Scenario(topology=reference_topology(), workload=small_workload())
         spec = SweepSpec(SweepVariable.CACHE_SIZE, (-5,), scen, seed=1)

@@ -155,9 +155,7 @@ class TestEventLoop:
                 expected = _Channel(spec).transfer(expected, 1200)
             topology = Topology(k, *specs, cache_location=location)
             for cell in range(k):
-                sim = _Simulation(
-                    topology, pair_kb(), [], Mode.TRADITIONAL, max_prefetch=None, eviction="lru"
-                )
+                sim = _Simulation(topology, pair_kb(), [], Mode.TRADITIONAL)
                 record = types.SimpleNamespace(cell_id=cell, completed_at=0.0)
                 sim._deliver(record, 3.0, 1200, ServedFrom.CACHE)
                 assert record.completed_at == expected
@@ -211,10 +209,7 @@ class TestDeliveryLinks:
     @pytest.mark.parametrize("cells", [1, 3])
     @pytest.mark.parametrize("location", list(CacheLocation))
     def test_later_delivery_links_have_one_feeder(self, location, cells):
-        sim = _Simulation(
-            topo(location, cells=cells), pair_kb(), [], Mode.TRADITIONAL,
-            max_prefetch=None, eviction="lru",
-        )
+        sim = _Simulation(topo(location, cells=cells), pair_kb(), [], Mode.TRADITIONAL)
         feeders, firsts = {}, set()
         for route in sim.routes:
             for path in (route.access_up, route.access_down, route.origin_up, route.origin_down):
@@ -263,8 +258,8 @@ class TestDeliveriesMatchHopByHop:
         for gap, cell, entity in steps:
             time += gap
             trace.append(TraceEntry(time, cell % cells, cell % cells, f"e{entity % len(entities)}"))
-        topology = topo(location, capacity=100_000, cells=cells)
-        report, records = run_simulation(topology, kb, trace, mode, eviction=eviction)
+        topology = replace(topo(location, 100_000, cells), eviction=eviction)
+        report, records = run_simulation(topology, kb, trace, mode)
         return repr(report), [(r.completed_at.hex(), r.served_from) for r in records]
 
     @given(
@@ -544,7 +539,7 @@ class TestNullInferenceEquivalence:
             TraceEntry(5100.0, 1, 0, "wiki/Alice"),
         ]
         rep_sem, rec_sem = run_simulation(
-            topo(), kb, trace, Mode.SEMANTIC, max_prefetch=0
+            replace(topo(), max_prefetch=0), kb, trace, Mode.SEMANTIC
         )
         rep_trad, rec_trad = run_simulation(topo(), kb, trace, Mode.TRADITIONAL)
         assert [r.served_from for r in rec_sem] == [r.served_from for r in rec_trad]
@@ -613,10 +608,13 @@ class TestValidation:
         with pytest.raises(UnknownEntity):
             run_simulation(topo(), pair_kb(), trace, Mode.TRADITIONAL)
 
+    def test_unknown_eviction(self):
+        with pytest.raises(ValueError, match="^eviction must be lru or fifo, got 'mru'$"):
+            Topology(eviction="mru")
+
     def test_negative_max_prefetch(self):
-        trace = [TraceEntry(0.0, 0, 0, "wiki/Alice")]
         with pytest.raises(ValueError, match="max_prefetch"):
-            run_simulation(topo(), pair_kb(), trace, Mode.SEMANTIC, max_prefetch=-1)
+            Topology(max_prefetch=-1)
 
     def test_unserved_request(self, monkeypatch):
         deliver = _Simulation._deliver
