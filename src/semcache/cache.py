@@ -36,6 +36,9 @@ class ContentOrigin(enum.Enum):
     PREFETCH = "prefetch"
 
 
+_PREFETCH = ContentOrigin.PREFETCH
+
+
 @dataclass
 class CacheEntry:
     key: Hashable
@@ -68,6 +71,7 @@ class Cache:
             raise ValueError(f"unknown eviction policy {policy!r}")
         self.capacity = capacity
         self.policy = policy
+        self._lru = policy == "lru"
         self._entries: OrderedDict[Hashable, CacheEntry] = OrderedDict()
         self._clock = 0.0
         self._stats = CacheStats()
@@ -83,54 +87,72 @@ class Cache:
         return self._stats.used
 
     def _advance(self, now: float) -> None:
+        """Move the clock to ``now``, refusing a regression.  ``lookup`` and
+        ``insert`` write the check out and call this only to raise."""
         if now < self._clock:
             raise TimeRegression(f"time went backwards: {now} < {self._clock}")
         self._clock = now
 
     def lookup(self, key: Hashable, now: float) -> Optional[CacheEntry]:
         """Return the entry on a hit (refreshing recency), None on a miss."""
-        self._advance(now)
-        self._stats.lookups += 1
+        # ``_advance`` and ``_touch``, written out: a call costs more.
+        if now < self._clock:
+            self._advance(now)
+        self._clock = now
+        stats = self._stats
+        stats.lookups += 1
         entry = self._entries.get(key)
         if entry is None:
             return None
-        self._stats.hits += 1
-        self._touch(entry)
+        stats.hits += 1
+        if self._lru:
+            self._entries.move_to_end(key)
+        if entry.origin is _PREFETCH and not entry.prefetch_credited:
+            entry.prefetch_credited = True
+            stats.prefetched_bytes_hit += entry.size
         return entry
 
     def insert(self, key: Hashable, size: int, origin: ContentOrigin, now: float) -> bool:
         """Insert or refresh an entry, evicting until it fits.
 
-        Returns False (and changes nothing but the rejection counter) when
-        the object alone exceeds the cache capacity.  Re-inserting a present
-        key refreshes its origin (and, under LRU, its recency) without
-        double-counting bytes.
+        Returns False when the object alone exceeds the cache capacity; such
+        a rejection changes nothing but the rejection counter and the clock,
+        which still moves to ``now``.  Re-inserting a present key refreshes
+        its origin (and, under LRU, its recency) without double-counting
+        bytes.
         """
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
-        self._advance(now)
-        if size > self.capacity:
-            self._stats.rejections += 1
+        if now < self._clock:  # ``_advance``, written out
+            self._advance(now)
+        self._clock = now
+        stats = self._stats
+        capacity = self.capacity
+        if size > capacity:
+            stats.rejections += 1
             return False
 
-        existing = self._entries.get(key)
+        entries = self._entries
+        existing = entries.get(key)
         if existing is not None:
-            self._stats.used += size - existing.size
+            stats.used += size - existing.size
             existing.size = size
             existing.origin = origin
-            if self.policy == "lru":
-                self._entries.move_to_end(key)
-            self._evict(0, exclude=key)
+            if self._lru:
+                entries.move_to_end(key)
+            if stats.used > capacity:
+                self._evict(0, exclude=key)
             return True
 
-        self._evict(size)
-        self._entries[key] = CacheEntry(key, size, origin)
-        self._stats.used += size
-        if origin is ContentOrigin.PREFETCH:
-            self._stats.prefetch_insertions += 1
-            self._stats.prefetched_bytes += size
+        if stats.used + size > capacity:
+            self._evict(size)
+        entries[key] = CacheEntry(key, size, origin)
+        stats.used += size
+        if origin is _PREFETCH:
+            stats.prefetch_insertions += 1
+            stats.prefetched_bytes += size
         else:
-            self._stats.demand_insertions += 1
+            stats.demand_insertions += 1
         return True
 
     def credit_prefetch_hit(self, key: Hashable, now: float) -> None:
@@ -143,10 +165,11 @@ class Cache:
         self._touch(self._entries[key])
 
     def _touch(self, entry: CacheEntry) -> None:
-        """Move a demanded entry to the back (LRU) and credit its prefetch."""
-        if self.policy == "lru":
+        """Move a demanded entry to the back (LRU) and credit its prefetch.
+        ``lookup`` writes this out."""
+        if self._lru:
             self._entries.move_to_end(entry.key)
-        if entry.origin is ContentOrigin.PREFETCH and not entry.prefetch_credited:
+        if entry.origin is _PREFETCH and not entry.prefetch_credited:
             entry.prefetch_credited = True
             self._stats.prefetched_bytes_hit += entry.size
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 import shlex
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -149,7 +150,7 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
         with open(source, encoding="utf-8") as fh:
             return load_knowledge_base(fh)
 
-    objects: dict[str, dict[str, set[str]]] = {name: {} for name in _RULE}
+    objects: dict[str, defaultdict[str, set[str]]] = {name: defaultdict(set) for name in _RULE}
     descriptors: dict[str, MetadataDescriptor] = {}
     sizes: dict[str, int] = {}
     referenced: dict[str, int] = {}  # iri -> first line referencing it
@@ -196,17 +197,20 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
         elif keyword in objects:
             if not value:
                 raise ParseError(line_no, "empty object IRI")
-            objects[keyword].setdefault(subject, set()).add(value)
+            objects[keyword][subject].add(value)
             referenced.setdefault(subject, line_no)
             referenced.setdefault(value, line_no)
         else:
             raise ParseError(line_no, f"unknown predicate {keyword!r}")
 
-    for iri in sorted(referenced):
-        if iri not in sizes:
-            raise MissingSizeError(iri, referenced[iri])
-        if iri not in descriptors:
-            raise MissingTypeError(iri, referenced[iri])
+    # Every sized or typed IRI is referenced, so equal counts mean that
+    # nothing is missing; otherwise the first missing IRI by name is reported.
+    if not len(sizes) == len(descriptors) == len(referenced):
+        for iri in sorted(referenced):
+            if iri not in sizes:
+                raise MissingSizeError(iri, referenced[iri])
+            if iri not in descriptors:
+                raise MissingTypeError(iri, referenced[iri])
 
     successors: dict[str, tuple[MetadataDescriptor, ...]] = dict.fromkeys(descriptors, ())
     triples = len(descriptors)

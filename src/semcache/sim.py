@@ -18,6 +18,12 @@ trace's requests are merged into the heap as the clock reaches them, so
 the heap holds only messages in flight.  A delivery claims all its links
 when it leaves the cache node, with no heap event (see ``_deliver``).
 
+``_Channel.transfer`` is the one definition of a channel claim.  The two
+places that claim a channel per request, ``_EventLoop.run``'s hop claim
+and ``_Simulation._deliver``'s delivery chain, write it out with the same
+expression in the same order, so their floats are the same;
+``tests/test_sim.py::TestWrittenOutTransfer`` pins both to ``transfer``.
+
 A trace is checked and described once per (trace, KB, cell count): its
 order, each entry's descriptor, its cell range and each request's size are
 worked out before the first run, and ``run_sweep`` reuses them across its
@@ -192,7 +198,11 @@ class _Channel:
         self.busy_until = 0.0
 
     def transfer(self, at: float, nbytes: float) -> float:
-        """Claim the channel at ``at``; return the arrival time."""
+        """Claim the channel at ``at``; return the arrival time.
+
+        ``_EventLoop.run`` and ``_Simulation._deliver`` write this law out,
+        as a call costs more; ``TestWrittenOutTransfer`` in
+        ``tests/test_sim.py`` checks that they stay the same."""
         busy = self.busy_until  # ``max(at, busy)`` is written out below: a call costs more
         busy = self.busy_until = (busy if busy > at else at) + nbytes / self.bandwidth
         return busy + self.delay
@@ -246,7 +256,8 @@ class _EventLoop:
     def run(self, arrivals: Iterable[_Arrival] = ()) -> None:
         """Run until the heap is empty, merging in the time-ordered ``arrivals``:
         each is sent when its time is at most that of the heap's next event.
-        The loop claims each hop itself, as ``send`` would."""
+        The loop claims each hop itself, with ``_Channel.transfer``'s law
+        written out."""
         heap, seq = self._heap, self._seq
         pop, push = heapq.heappop, heapq.heappush
         pending = iter(arrivals)
@@ -261,8 +272,10 @@ class _EventLoop:
                 if index == len(channels):
                     then(time, arg)
                     continue
-            arrive = channels[index].transfer(time, nbytes)
-            push(heap, (arrive, next(seq), channels, index + 1, nbytes, then, arg))
+            channel = channels[index]
+            busy = channel.busy_until
+            busy = channel.busy_until = (busy if busy > time else time) + nbytes / channel.bandwidth
+            push(heap, (busy + channel.delay, next(seq), channels, index + 1, nbytes, then, arg))
 
 
 class _Simulation:
@@ -271,7 +284,9 @@ class _Simulation:
     ):
         self.topology = topology
         self.kb = kb
+        self.sizes = kb.sizes
         self.mode = mode
+        self.semantic = mode is Mode.SEMANTIC
         self.max_prefetch = topology.max_prefetch
         self.loop = _EventLoop()
 
@@ -327,7 +342,7 @@ class _Simulation:
         route = self.routes[record.cell_id]
         key = record.descriptor.entity_iri
         if route.cache.lookup(key, t) is not None:
-            self._deliver(record, t, self.kb.sizes[key], ServedFrom.CACHE)
+            self._deliver(record, t, self.sizes[key], ServedFrom.CACHE)
         elif key in route.pending:
             # An in-flight prefetch will bring this content; wait for it
             # instead of fetching again.
@@ -335,7 +350,7 @@ class _Simulation:
         else:
             self._fetch(route, key, t, ContentOrigin.DEMAND, [record])
 
-        if self.mode is Mode.SEMANTIC:
+        if self.semantic:
             self._launch_prefetches(record, route, t)
 
     def _fetch(
@@ -347,7 +362,7 @@ class _Simulation:
 
     def _at_origin(self, t: float, fetch: _Fetch) -> None:
         route, key, _, _ = fetch
-        size = self.kb.sizes[key]
+        size = self.sizes[key]
         self.origin_bytes += size
         self.loop.send(route.origin_down, t, size, self._fetched, fetch)
 
@@ -356,14 +371,16 @@ class _Simulation:
         route, key, origin, waiters = fetch
         if origin is ContentOrigin.PREFETCH:
             del route.pending[key]
-        size = self.kb.sizes[key]
+        size = self.sizes[key]
         # An object larger than the cache is rejected; its waiters are
-        # still served, but there is no cached entry to credit.  Crediting
-        # an entry just inserted on demand changes nothing.
+        # still served, but there is no cached entry to credit.  A landing
+        # prefetch is credited once if anyone waits for it: a second credit
+        # at the same time, like the credit of an entry just inserted on
+        # demand, would change nothing.
         cached = route.cache.insert(key, size, origin, t)
+        if cached and waiters and origin is ContentOrigin.PREFETCH:
+            route.cache.credit_prefetch_hit(key, t)
         for waiter in waiters:
-            if cached:
-                route.cache.credit_prefetch_hit(key, t)
             self._deliver(waiter, t, size, ServedFrom.ORIGIN)
 
     def _deliver(
@@ -376,17 +393,22 @@ class _Simulation:
         hop-by-hop times: cells share only the links above the S-GW, which
         can only be first on an ``access_down`` path, so each link after the
         first is fed only by the link before it and sees the same claims in
-        the same order at the same times."""
+        the same order at the same times.  ``_Channel.transfer``'s law is
+        written out."""
         record.served_from = served_from
         for channel in self.routes[record.cell_id].access_down:
-            t = channel.transfer(t, size)
+            busy = channel.busy_until
+            busy = channel.busy_until = (busy if busy > t else t) + size / channel.bandwidth
+            t = busy + channel.delay
         record.completed_at = t
 
     # -- prefetch path ------------------------------------------------------
 
     def _launch_prefetches(self, record: RequestRecord, route: _CellRoutes, t: float) -> None:
-        # A slice up to None keeps every prediction.
-        for predicted in infer_next(self.kb, record.descriptor)[: self.max_prefetch]:
+        predictions = infer_next(self.kb, record.descriptor)
+        if self.max_prefetch is not None:
+            predictions = predictions[: self.max_prefetch]
+        for predicted in predictions:
             key = predicted.entity_iri
             if key in route.cache or key in route.pending:
                 continue
@@ -403,7 +425,7 @@ class _Simulation:
         prefetched_hit = sum(s.prefetched_bytes_hit for s in stats)
         useless = prefetched - prefetched_hit
 
-        latencies = [r.latency_ms for r in self.records]
+        latencies = [r.completed_at - r.issued_at for r in self.records]
         mean_latency = sum(latencies) / len(latencies) if latencies else 0.0
 
         if self.mode is Mode.SEMANTIC:

@@ -40,6 +40,30 @@ class TestLookup:
         with pytest.raises(TimeRegression):
             c.lookup("k", 9)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c, now: c.lookup("k", now),
+            lambda c, now: c.insert("k", 10, D, now),
+            lambda c, now: c.credit_prefetch_hit("k", now),
+        ],
+        ids=["lookup", "insert", "credit"],
+    )
+    def test_every_timed_operation_refuses_a_regression(self, call):
+        c = Cache(100)
+        c.insert("k", 10, P, 10)
+        before = (c.stats(), c.entries())
+        with pytest.raises(TimeRegression) as exc:
+            call(c, 9)
+        assert str(exc.value) == "time went backwards: 9 < 10"
+        assert (c.stats(), c.entries()) == before
+
+    def test_rejected_insert_advances_the_clock(self):
+        c = Cache(100)
+        assert c.insert("big", 101, D, 10) is False
+        with pytest.raises(TimeRegression, match="time went backwards: 9 < 10"):
+            c.lookup("k", 9)
+
 
 class TestInsert:
     def test_oversized_rejected(self):
@@ -124,6 +148,42 @@ class TestStats:
         s = c.stats()
         assert s.lookups == 0
         assert s.prefetched_bytes_hit == 500
+
+    @staticmethod
+    def _state(c):
+        return c.stats(), [(e.key, e.size, e.origin, e.prefetch_credited) for e in c.entries()]
+
+    @staticmethod
+    def _filled(policy, refresh):
+        """A cache holding prefetched and demanded entries, "k" among them
+        as a prefetch if ``refresh``."""
+        c = Cache(1000, policy)
+        c.insert("a", 100, P, 0)
+        if refresh:
+            c.insert("k", 100, P, 1)
+        c.insert("b", 100, D, 2)
+        c.lookup("a", 3)
+        return c
+
+    @pytest.mark.parametrize("refresh", [False, True], ids=["new", "refresh"])
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    def test_credit_after_demand_insert_changes_nothing(self, policy, refresh):
+        c = self._filled(policy, refresh)
+        c.insert("k", 100, D, 4)
+        before = self._state(c)
+        c.credit_prefetch_hit("k", 4)
+        assert self._state(c) == before
+
+    @pytest.mark.parametrize("refresh", [False, True], ids=["new", "refresh"])
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    def test_second_credit_of_a_prefetch_changes_nothing(self, policy, refresh):
+        c = self._filled(policy, refresh)
+        c.insert("k", 100, P, 4)
+        c.credit_prefetch_hit("k", 4)
+        before = self._state(c)
+        assert ("k", 100, P, True) in before[1]
+        c.credit_prefetch_hit("k", 4)
+        assert self._state(c) == before
 
     def test_counters_monotone(self):
         c = Cache(250)

@@ -67,6 +67,12 @@ class TestLoad:
         assert exc.value.iri == "wiki/C"
         assert exc.value.line_no == 1
 
+    def test_first_missing_size_by_name_is_reported(self):
+        text = '"wiki/B" type Person\n"wiki/A" type Person\n"wiki/A" spouse "wiki/B"\n'
+        with pytest.raises(MissingSizeError) as exc:
+            load_knowledge_base(io.StringIO(text))
+        assert (exc.value.iri, exc.value.line_no) == ("wiki/A", 2)
+
     def test_missing_type(self):
         text = '"wiki/A" size 10\n'
         with pytest.raises(MissingTypeError):

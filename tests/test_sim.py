@@ -162,6 +162,91 @@ class TestEventLoop:
                 assert sim.loop._heap == []
 
 
+_LINK = st.builds(
+    LinkSpec,
+    st.floats(0.0, 50.0, allow_nan=False),
+    st.floats(1e-3, 1e6, allow_nan=False),
+)
+_TIME = st.floats(0.0, 1e4, allow_nan=False)
+_NBYTES = st.integers(0, 200_000)
+
+
+class TestWrittenOutTransfer:
+    """``_EventLoop.run``'s hop claim and ``_Simulation._deliver``'s delivery
+    chain write out ``_Channel.transfer``'s law; every arrival time and every
+    ``busy_until`` they leave is the same float as a chain of ``transfer``
+    calls on fresh channels gives."""
+
+    @staticmethod
+    def _twins(channels):
+        """A fresh channel per channel, with the same spec and ``busy_until``."""
+        twins = {}
+        for channel in channels:
+            twin = _Channel(LinkSpec(channel.delay, channel.bandwidth))
+            twin.busy_until = channel.busy_until
+            twins[channel] = twin
+        return twins
+
+    @given(
+        links=st.lists(st.tuples(_LINK, _TIME), min_size=1, max_size=3),
+        messages=st.lists(st.tuples(_TIME, _NBYTES), min_size=1, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_event_loop_hops(self, links, messages):
+        channels = []
+        for spec, busy_until in links:
+            channel = _Channel(spec)
+            channel.busy_until = busy_until
+            channels.append(channel)
+        path = tuple(channels)
+        twins = self._twins(path)
+        messages = sorted(messages, key=lambda m: m[0])
+
+        # One path: every channel sees the messages in send order.
+        expected = [t for t, _ in messages]
+        for channel in path:
+            for i, (_, nbytes) in enumerate(messages):
+                expected[i] = twins[channel].transfer(expected[i], nbytes)
+
+        arrived = []
+        _EventLoop().run(
+            (t, path, nbytes, lambda t, i: arrived.append((t.hex(), i)), i)
+            for i, (t, nbytes) in enumerate(messages)
+        )
+        assert arrived == [(t.hex(), i) for i, t in enumerate(expected)]
+        for channel in path:
+            assert channel.busy_until.hex() == twins[channel].busy_until.hex()
+
+    @given(
+        links=st.lists(_LINK, min_size=4, max_size=4),
+        cells=st.integers(1, 3),
+        location=st.sampled_from(CacheLocation),
+        # At most 7 delivery channels: two per cell and the shared S-GW-P-GW one.
+        busy_untils=st.lists(_TIME, min_size=7, max_size=7),
+        deliveries=st.lists(st.tuples(st.integers(0, 2), _TIME, _NBYTES), min_size=1, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_deliveries(self, links, cells, location, busy_untils, deliveries):
+        topology = Topology(cells, *links, cache_location=location)
+        sim = _Simulation(topology, pair_kb(), [], Mode.TRADITIONAL)
+        channels = list(dict.fromkeys(c for route in sim.routes for c in route.access_down))
+        for channel, busy_until in zip(channels, busy_untils):
+            channel.busy_until = busy_until
+        twins = self._twins(channels)
+
+        for cell, t, size in deliveries:
+            cell %= cells
+            expected = t
+            for channel in sim.routes[cell].access_down:
+                expected = twins[channel].transfer(expected, size)
+            record = types.SimpleNamespace(cell_id=cell, completed_at=0.0)
+            sim._deliver(record, t, size, ServedFrom.CACHE)
+            assert record.completed_at.hex() == expected.hex()
+        for channel in channels:
+            assert channel.busy_until.hex() == twins[channel].busy_until.hex()
+        assert sim.loop._heap == []
+
+
 class TestHeapEvents:
     """Each link a message crosses costs one heap push and one pop, except a
     delivery's links, which it claims at once when it leaves the cache node.
