@@ -5,11 +5,14 @@ modes.  Every entry remembers whether it was inserted on demand or by a
 prefetch, so the useless-prefetch ratio (prefetched bytes never served to
 anyone) can be reported per run.
 
-The order of the entries is the eviction order, so each eviction takes
-the front entry in O(1).  Under LRU every touch (a hit, a refreshing re-insert or a
-prefetch credit) moves the entry to the back; under FIFO entries never
-move, so a refresh keeps its place.  Entries touched at the same time are
-therefore evicted in operation order.
+A cached key keeps the size it was stored with: ``insert`` refuses to
+resize it.  So only the insertion of a new key evicts, and the order of
+the entries is the eviction order: each eviction takes the front entry in
+O(1).  Under LRU every touch (a hit, a refreshing re-insert or a prefetch
+credit) moves the entry to the back; under FIFO entries never move, so a
+refresh keeps its place.  Entries touched at the same time are therefore
+evicted in operation order.  A refused call (a bad size, a resize, a
+regressing time or a credit of an absent key) changes nothing.
 """
 
 from __future__ import annotations
@@ -95,7 +98,8 @@ class Cache:
 
     def lookup(self, key: Hashable, now: float) -> Optional[CacheEntry]:
         """Return the entry on a hit (refreshing recency), None on a miss."""
-        # ``_advance`` and ``_touch``, written out: a call costs more.
+        # ``_advance`` and ``credit_prefetch_hit``'s touch, written out: a
+        # call costs more.
         if now < self._clock:
             self._advance(now)
         self._clock = now
@@ -113,41 +117,42 @@ class Cache:
         return entry
 
     def insert(self, key: Hashable, size: int, origin: ContentOrigin, now: float) -> bool:
-        """Insert or refresh an entry, evicting until it fits.
+        """Insert a new entry, evicting from the front until it fits, or
+        refresh a cached one.
 
-        Returns False when the object alone exceeds the cache capacity; such
-        a rejection changes nothing but the rejection counter and the clock,
-        which still moves to ``now``.  Re-inserting a present key refreshes
+        Re-inserting a cached key with the size it was stored with refreshes
         its origin (and, under LRU, its recency) without double-counting
-        bytes.
+        bytes; any other size raises ``ValueError``.  Returns False when a
+        new object alone exceeds the cache capacity; such a rejection changes
+        nothing but the rejection counter and the clock, which still moves
+        to ``now``.
         """
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
+        entries = self._entries
+        existing = entries.get(key)
+        if existing is not None and existing.size != size:
+            raise ValueError(f"cached key {key!r} has size {existing.size}, not {size}")
         if now < self._clock:  # ``_advance``, written out
             self._advance(now)
         self._clock = now
+        if existing is not None:
+            existing.origin = origin
+            if self._lru:
+                entries.move_to_end(key)
+            return True
+
         stats = self._stats
         capacity = self.capacity
         if size > capacity:
             stats.rejections += 1
             return False
-
-        entries = self._entries
-        existing = entries.get(key)
-        if existing is not None:
-            stats.used += size - existing.size
-            existing.size = size
-            existing.origin = origin
-            if self._lru:
-                entries.move_to_end(key)
-            if stats.used > capacity:
-                self._evict(0, exclude=key)
-            return True
-
-        if stats.used + size > capacity:
-            self._evict(size)
+        used = stats.used + size
+        while used > capacity:
+            used -= entries.popitem(last=False)[1].size
+            stats.evictions += 1
+        stats.used = used
         entries[key] = CacheEntry(key, size, origin)
-        stats.used += size
         if origin is _PREFETCH:
             stats.prefetch_insertions += 1
             stats.prefetched_bytes += size
@@ -156,36 +161,20 @@ class Cache:
         return True
 
     def credit_prefetch_hit(self, key: Hashable, now: float) -> None:
-        """Mark a prefetched entry as demanded without counting a lookup.
+        """Mark a cached entry as demanded without counting a lookup: move it
+        to the back (LRU) and credit its prefetch once.
 
         Used when a demand request was already counted as a miss but is
-        satisfied by an in-flight prefetch arriving at the cache.
+        satisfied by an in-flight prefetch arriving at the cache.  Raises
+        ``KeyError`` for an absent key.
         """
+        entry = self._entries[key]
         self._advance(now)
-        self._touch(self._entries[key])
-
-    def _touch(self, entry: CacheEntry) -> None:
-        """Move a demanded entry to the back (LRU) and credit its prefetch.
-        ``lookup`` writes this out."""
         if self._lru:
-            self._entries.move_to_end(entry.key)
+            self._entries.move_to_end(key)
         if entry.origin is _PREFETCH and not entry.prefetch_credited:
             entry.prefetch_credited = True
             self._stats.prefetched_bytes_hit += entry.size
-
-    def _evict(self, incoming: int, exclude: Optional[Hashable] = None) -> None:
-        """Evict from the front until ``incoming`` more bytes fit.
-
-        ``exclude`` is never first under LRU (it was just moved to the
-        back), so the victim is always the first or second key.
-        """
-        while self._stats.used + incoming > self.capacity:
-            if exclude is None:
-                _, entry = self._entries.popitem(last=False)
-            else:
-                entry = self._entries.pop(next(k for k in self._entries if k != exclude))
-            self._stats.used -= entry.size
-            self._stats.evictions += 1
 
     def stats(self) -> CacheStats:
         """Snapshot of all counters (a copy; further ops do not mutate it)."""

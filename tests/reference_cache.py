@@ -8,7 +8,25 @@ sharing code with semcache.cache:
   hit, a refreshing re-insert or a prefetch credit.
 * FIFO evicts the entry inserted first; a refresh keeps its place.
 * Entries touched (or inserted) at the same time go by operation order.
+* A cached key keeps its size: re-inserting it with another size raises
+  ValueError, and a refused operation changes nothing.
+
+``outcome`` and ``cache_state`` let a test compare the real cache with the
+oracle operation by operation, refusals included.
 """
+
+
+def outcome(call, *args):
+    """``call(*args)``, or the type of the ValueError or KeyError it raises."""
+    try:
+        return call(*args)
+    except (ValueError, KeyError) as exc:
+        return type(exc)
+
+
+def cache_state(cache):
+    """A real cache's counters and entries, as values."""
+    return cache.stats(), [(e.key, e.size, e.origin, e.prefetch_credited) for e in cache.entries()]
 
 
 class RefEntry:
@@ -51,12 +69,11 @@ class ReferenceCache:
     def keys(self):
         return sorted(str(i.key) for i in self.items)
 
-    def _remove_victim(self, exclude=None):
-        candidates = [i for i in self.items if i.key != exclude]
+    def _remove_victim(self):
         if self.policy == "lru":
-            victim = sorted(candidates, key=lambda i: i.last_access)[0]
+            victim = sorted(self.items, key=lambda i: i.last_access)[0]
         else:
-            victim = sorted(candidates, key=lambda i: i.inserted_at)[0]
+            victim = sorted(self.items, key=lambda i: i.inserted_at)[0]
         self.items.remove(victim)
         self.evictions += 1
 
@@ -78,18 +95,17 @@ class ReferenceCache:
         return True
 
     def insert(self, key, size, origin, now):
+        item = self._find(key)
+        if item is not None and item.size != size:
+            raise ValueError(f"{key!r} is cached with size {item.size}, not {size}")
         seq = self._next_seq()
+        if item is not None:
+            item.origin = origin
+            item.last_access = (now, seq)
+            return True
         if size > self.capacity:
             self.rejections += 1
             return False
-        item = self._find(key)
-        if item is not None:
-            item.size = size
-            item.origin = origin
-            item.last_access = (now, seq)
-            while self.used() > self.capacity:
-                self._remove_victim(exclude=key)
-            return True
         while self.used() + size > self.capacity:
             self._remove_victim()
         self.items.append(RefEntry(key, size, origin, now, seq))
@@ -99,9 +115,9 @@ class ReferenceCache:
 
     def credit_prefetch_hit(self, key, now):
         """Touch a cached entry and credit it without counting a lookup."""
-        seq = self._next_seq()
         item = self._find(key)
         if item is None:
             raise KeyError(key)
+        seq = self._next_seq()
         item.last_access = (now, seq)
         self._credit(item)

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from semcache.cache import Cache, ContentOrigin, TimeRegression
 
-from reference_cache import ReferenceCache
+from reference_cache import ReferenceCache, cache_state, outcome
 
 D = ContentOrigin.DEMAND
 P = ContentOrigin.PREFETCH
@@ -52,11 +52,18 @@ class TestLookup:
     def test_every_timed_operation_refuses_a_regression(self, call):
         c = Cache(100)
         c.insert("k", 10, P, 10)
-        before = (c.stats(), c.entries())
+        before = cache_state(c)
         with pytest.raises(TimeRegression) as exc:
             call(c, 9)
         assert str(exc.value) == "time went backwards: 9 < 10"
-        assert (c.stats(), c.entries()) == before
+        assert cache_state(c) == before
+
+    def test_refused_credit_keeps_the_clock(self):
+        c = Cache(1000)
+        with pytest.raises(KeyError):
+            c.credit_prefetch_hit("absent", 10)
+        assert cache_state(c) == cache_state(Cache(1000))
+        assert c.lookup("k", 5) is None
 
     def test_rejected_insert_advances_the_clock(self):
         c = Cache(100)
@@ -101,6 +108,18 @@ class TestInsert:
         c.insert("k", 100, P, 1)
         assert c.used == 100
         assert c.stats().prefetched_bytes == 100
+
+    @pytest.mark.parametrize("size", [200, 1001])
+    def test_resize_refused(self, size):
+        # A resize is refused before the clock moves, even one to more than
+        # the capacity, which is not counted as a rejection.
+        c = Cache(1000)
+        c.insert("k", 100, D, 5)
+        before = cache_state(c)
+        with pytest.raises(ValueError, match=f"cached key 'k' has size 100, not {size}"):
+            c.insert("k", size, D, 10)
+        assert cache_state(c) == before
+        assert c.lookup("k", 6) is not None
 
     def test_reinsert_refreshes_recency_and_origin(self):
         c = Cache(200)
@@ -150,10 +169,6 @@ class TestStats:
         assert s.prefetched_bytes_hit == 500
 
     @staticmethod
-    def _state(c):
-        return c.stats(), [(e.key, e.size, e.origin, e.prefetch_credited) for e in c.entries()]
-
-    @staticmethod
     def _filled(policy, refresh):
         """A cache holding prefetched and demanded entries, "k" among them
         as a prefetch if ``refresh``."""
@@ -165,14 +180,27 @@ class TestStats:
         c.lookup("a", 3)
         return c
 
+    def test_resized_prefetch_credits_no_uncounted_bytes(self):
+        # Had the fourth call resized "k", the credit would add its new 200
+        # bytes to prefetched_bytes_hit, where prefetched_bytes counted 100.
+        c = Cache(1000)
+        c.insert("a", 100, P, 0)
+        c.insert("k", 100, P, 1)
+        c.lookup("a", 3)
+        with pytest.raises(ValueError):
+            c.insert("k", 200, P, 4)
+        c.credit_prefetch_hit("k", 4)
+        s = c.stats()
+        assert (s.prefetched_bytes, s.prefetched_bytes_hit) == (200, 200)
+
     @pytest.mark.parametrize("refresh", [False, True], ids=["new", "refresh"])
     @pytest.mark.parametrize("policy", ["lru", "fifo"])
     def test_credit_after_demand_insert_changes_nothing(self, policy, refresh):
         c = self._filled(policy, refresh)
         c.insert("k", 100, D, 4)
-        before = self._state(c)
+        before = cache_state(c)
         c.credit_prefetch_hit("k", 4)
-        assert self._state(c) == before
+        assert cache_state(c) == before
 
     @pytest.mark.parametrize("refresh", [False, True], ids=["new", "refresh"])
     @pytest.mark.parametrize("policy", ["lru", "fifo"])
@@ -180,10 +208,10 @@ class TestStats:
         c = self._filled(policy, refresh)
         c.insert("k", 100, P, 4)
         c.credit_prefetch_hit("k", 4)
-        before = self._state(c)
+        before = cache_state(c)
         assert ("k", 100, P, True) in before[1]
         c.credit_prefetch_hit("k", 4)
-        assert self._state(c) == before
+        assert cache_state(c) == before
 
     def test_counters_monotone(self):
         c = Cache(250)
@@ -191,7 +219,10 @@ class TestStats:
         prev = c.stats()
         for t in range(200):
             if rng.random() < 0.5:
-                c.insert(f"k{rng.randint(0, 20)}", rng.randint(1, 100), rng.choice([D, P]), t)
+                before = cache_state(c)
+                key, size = f"k{rng.randint(0, 20)}", rng.randint(1, 100)
+                if outcome(c.insert, key, size, rng.choice([D, P]), t) is ValueError:
+                    assert cache_state(c) == before
             else:
                 c.lookup(f"k{rng.randint(0, 20)}", t)
             s = c.stats()
@@ -232,23 +263,22 @@ class TestAgainstReference:
         ref = ReferenceCache(capacity, policy)
         for now, op, ki, size, pf in sequence:
             key = f"k{ki}"
-            if op == "insert":
-                origin = P if pf else D
-                r1 = real.insert(key, size, origin, now)
-                r2 = ref.insert(key, size, origin.value, now)
-            elif op == "lookup":
+            if op == "lookup":
                 r1 = real.lookup(key, now) is not None
                 r2 = ref.lookup(key, now)
             else:
-                r1 = r2 = key in real
-                if r1:
-                    real.credit_prefetch_hit(key, now)
-                    ref.credit_prefetch_hit(key, now)
+                # A resize or a credit of an absent key is refused by both,
+                # and changes nothing.
+                before = cache_state(real)
+                if op == "insert":
+                    origin = P if pf else D
+                    r1 = outcome(real.insert, key, size, origin, now)
+                    r2 = outcome(ref.insert, key, size, origin.value, now)
                 else:
-                    with pytest.raises(KeyError):
-                        real.credit_prefetch_hit(key, now)
-                    with pytest.raises(KeyError):
-                        ref.credit_prefetch_hit(key, now)
+                    r1 = outcome(real.credit_prefetch_hit, key, now)
+                    r2 = outcome(ref.credit_prefetch_hit, key, now)
+                if r1 in (ValueError, KeyError):
+                    assert cache_state(real) == before
             assert r1 == r2
             assert real.used <= capacity
             assert sorted(str(e.key) for e in real.entries()) == ref.keys()

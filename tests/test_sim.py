@@ -372,6 +372,156 @@ class TestDeliveriesMatchHopByHop:
             assert self._run(*args) == claimed_at_once
 
 
+def _round_trip(topology, depth, t, record, kb):
+    """When ``record``'s content would reach its UE on idle links, had its
+    request been sent at ``t`` over the first ``depth`` links and answered
+    from there: ``_Channel.transfer`` chained over fresh channels.  Waiting
+    for a busy channel only delays a message, so no record beats this."""
+    iri = record.descriptor.entity_iri
+    links = [getattr(topology, name) for name in sim_module.LINKS][:depth]
+    for spec in links:
+        t = _Channel(spec).transfer(t, len(iri.encode("utf-8")))
+    for spec in reversed(links):
+        t = _Channel(spec).transfer(t, kb.sizes[iri])
+    return t
+
+
+def _beat_access_round_trip(topology, kb, records):
+    """Law (a): the ids of records that complete before the round trip to
+    the cache node from their issue time."""
+    depth = sim_module._CACHE_DEPTH[topology.cache_location]
+    return [
+        r.request_id
+        for r in records
+        if r.completed_at < _round_trip(topology, depth, r.issued_at, r, kb)
+    ]
+
+
+def _beat_origin_round_trip(topology, kb, records):
+    """Law (b), Traditional mode: the ids of origin-served records that
+    complete before the round trip to the origin from the issue time of the
+    earliest origin-served request for their IRI."""
+    served = [r for r in records if r.served_from is ServedFrom.ORIGIN]
+    first = {}
+    for r in served:
+        first.setdefault(r.descriptor.entity_iri, r.issued_at)
+    return [
+        r.request_id
+        for r in served
+        if r.completed_at < _round_trip(topology, 4, first[r.descriptor.entity_iri], r, kb)
+    ]
+
+
+def _traditional_report_faults(report, records):
+    """Law (c): the fields of a Traditional report that break it."""
+    cached = sum(r.served_from is ServedFrom.CACHE for r in records)
+    faults = {
+        "hits": report.hits != cached,
+        "prefetched_bytes": report.prefetched_bytes != 0,
+        "metadata_overhead_bytes": report.metadata_overhead_bytes != 0,
+    }
+    return [name for name, fault in faults.items() if fault]
+
+
+def _zero_prefetch_differences(traditional, semantic):
+    """Law (d): what differs between a Traditional run and a Semantic run with
+    ``max_prefetch=0``, each given as ``(report, records)``."""
+    (trad, trad_records), (sem, sem_records) = traditional, semantic
+    differences = [
+        name for name in ("hits", "lookups", "origin_bytes")
+        if getattr(trad, name) != getattr(sem, name)
+    ]
+    outcomes = [
+        [(r.completed_at.hex(), r.served_from) for r in records]
+        for records in (trad_records, sem_records)
+    ]
+    if outcomes[0] != outcomes[1]:
+        differences.append("records")
+    return differences
+
+
+class TestModelLaws:
+    """Laws of the model that hold under any tie rule and any event order.
+    Each bound is exact, with no tolerance."""
+
+    @given(
+        entities=st.lists(_ENTITY, min_size=2, max_size=6),
+        steps=st.lists(_STEP, min_size=1, max_size=12),
+        cells=st.integers(1, 3),
+        location=st.sampled_from(CacheLocation),
+        eviction=st.sampled_from(["lru", "fifo"]),
+        links=st.lists(_LINK, min_size=4, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_laws_hold(self, entities, steps, cells, location, eviction, links):
+        lines = []
+        for i, (kind, size, related) in enumerate(entities):
+            predicate = "spouse" if kind == "Person" else "starring"
+            lines += [f'"e{i}" type {kind}', f'"e{i}" size {size}']
+            lines += [f'"e{i}" {predicate} "e{j % len(entities)}"' for j in related]
+        kb = load_knowledge_base(io.StringIO("\n".join(lines) + "\n"))
+        trace, time = [], 0.0
+        for gap, cell, entity in steps:
+            time += gap
+            trace.append(TraceEntry(time, cell % cells, cell % cells, f"e{entity % len(entities)}"))
+        topology = Topology(
+            cells, *links, cache_location=location, cache_capacity=100_000, eviction=eviction
+        )
+        trad = run_simulation(topology, kb, trace, Mode.TRADITIONAL)
+        sem = run_simulation(topology, kb, trace, Mode.SEMANTIC)
+        zero = run_simulation(replace(topology, max_prefetch=0), kb, trace, Mode.SEMANTIC)
+
+        for _, records in (trad, sem, zero):
+            assert _beat_access_round_trip(topology, kb, records) == []
+        assert _beat_origin_round_trip(topology, kb, trad[1]) == []
+        assert _traditional_report_faults(*trad) == []
+        assert _zero_prefetch_differences(trad, zero) == []
+
+    # Each law's check passes a clean run and catches one corrupted record
+    # or report: a miss, then a hit, on the default topology.
+    @pytest.fixture(scope="class")
+    def clean(self):
+        kb = pair_kb()
+        trace = [TraceEntry(0.0, 0, 0, "wiki/Alice"), TraceEntry(5000.0, 0, 0, "wiki/Alice")]
+        trad = run_simulation(topo(), kb, trace, Mode.TRADITIONAL)
+        zero = run_simulation(replace(topo(), max_prefetch=0), kb, trace, Mode.SEMANTIC)
+        assert [r.served_from for r in trad[1]] == [ServedFrom.ORIGIN, ServedFrom.CACHE]
+        return kb, trad, zero
+
+    @staticmethod
+    def _just_before(record, t):
+        return replace(record, completed_at=math.nextafter(t, -math.inf))
+
+    def test_access_round_trip_law_can_fail(self, clean):
+        kb, (_, records), _ = clean
+        assert _beat_access_round_trip(topo(), kb, records) == []
+        bound = _round_trip(topo(), 1, records[1].issued_at, records[1], kb)
+        corrupt = [records[0], self._just_before(records[1], bound)]
+        assert _beat_access_round_trip(topo(), kb, corrupt) == [1]
+
+    def test_origin_round_trip_law_can_fail(self, clean):
+        kb, (_, records), _ = clean
+        assert _beat_origin_round_trip(topo(), kb, records) == []
+        bound = _round_trip(topo(), 4, records[0].issued_at, records[0], kb)
+        corrupt = [self._just_before(records[0], bound), records[1]]
+        assert _beat_origin_round_trip(topo(), kb, corrupt) == [0]
+
+    @pytest.mark.parametrize("field", ["hits", "prefetched_bytes", "metadata_overhead_bytes"])
+    def test_traditional_report_law_can_fail(self, clean, field):
+        _, (report, records), _ = clean
+        assert _traditional_report_faults(report, records) == []
+        corrupt = replace(report, **{field: getattr(report, field) + 1})
+        assert _traditional_report_faults(corrupt, records) == [field]
+
+    def test_zero_prefetch_law_can_fail(self, clean):
+        _, trad, (report, records) = clean
+        assert _zero_prefetch_differences(trad, (report, records)) == []
+        corrupt = [records[0], replace(records[1], served_from=ServedFrom.ORIGIN)]
+        assert _zero_prefetch_differences(trad, (report, corrupt)) == ["records"]
+        corrupt = replace(report, origin_bytes=report.origin_bytes + 1)
+        assert _zero_prefetch_differences(trad, (corrupt, records)) == ["origin_bytes"]
+
+
 class TestSingleRequest:
     def test_traditional_full_round_trip(self):
         kb = pair_kb()
