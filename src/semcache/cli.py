@@ -10,7 +10,9 @@ Subcommands:
 
 Scenario files are flat YAML key-value mappings; unknown keys are rejected.
 Flags override file values; both are read by one reader per key (``SETTINGS``),
-which also checks the value's range, and a bad value exits 2 naming its key.
+which only parses.  The ranges are those of the types the values go into
+(``Topology``, ``LinkSpec``, ``SyntheticSpec`` and, for ``sweep --values``,
+``SweepSpec``), all built before any work; a bad value exits 2 naming its key.
 ``SEMCACHE_SEED`` is used when no seed is given.
 """
 
@@ -20,7 +22,6 @@ import argparse
 import enum
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -30,7 +31,6 @@ from typing import Callable, NamedTuple, Optional
 import yaml
 
 from semcache import codec as codec_mod
-from semcache.cache import EVICTION_POLICIES
 from semcache.codec import EntityKind, HopByHopHeader, MetadataDescriptor
 from semcache.experiments import (
     Scenario,
@@ -78,54 +78,31 @@ def _float(raw) -> float:
     return float(str(raw))
 
 
-def _within(read: Callable, ok: Callable[..., bool], rule: str):
-    """``read``, refusing values for which ``ok`` is false (NaN fails every rule)."""
-
-    def checked(raw):
-        value = read(raw)
-        if not ok(value):
-            raise ValueError(rule)
-        return value
-
-    return checked
-
-
-_positive_int = _within(_int, lambda v: v > 0, "must be > 0")
-_count = _within(_int, lambda v: v >= 0, "must be >= 0")
-_duration = _within(_float, lambda v: 0 <= v < math.inf, "must be finite and >= 0")
-_positive = _within(_float, lambda v: v > 0, "must be > 0")
-_probability = _within(_float, lambda v: 0 <= v <= 1, "must be in [0, 1]")
-
-
 def _text(raw) -> str:
     if not isinstance(raw, str):
         raise TypeError("must be a string")
     return raw
 
 
-def _range(read: Callable):
+def _pair(read: Callable):
     def pair(raw) -> tuple:
         if not isinstance(raw, list) or len(raw) != 2:
             raise ValueError("must be a [lo, hi] pair")
-        lo, hi = read(raw[0]), read(raw[1])
-        if lo > hi:
-            raise ValueError("must have lo <= hi")
-        return lo, hi
+        return read(raw[0]), read(raw[1])
 
     return pair
 
 
 def _gap(raw):
-    return _range(_duration)(raw) if isinstance(raw, list) else _duration(raw)
+    return _pair(_float)(raw) if isinstance(raw, list) else _float(raw)
 
 
 def _member(kind: type[enum.Enum]):
     return lambda raw: kind(str(raw).lower())
 
 
-_eviction = _within(
-    lambda raw: str(raw).lower(), EVICTION_POLICIES.__contains__, "must be lru or fifo"
-)
+def _lower(raw) -> str:
+    return str(raw).lower()
 
 
 class _Key(NamedTuple):
@@ -142,19 +119,17 @@ SETTINGS: dict[str, _Key] = {
         _member(CacheLocation),
         f"where the cache sits (default: {Topology.cache_location.value})",
     ),
-    "cache_size": _Key(
-        _positive_int, f"cache capacity in bytes (default: {Topology.cache_capacity})"
-    ),
-    "cells": _Key(_positive_int, f"number of eNodeB cells (default: {Topology.cells})"),
-    "eviction": _Key(_eviction, f"eviction policy (default: {Topology.eviction})"),
+    "cache_size": _Key(_int, f"cache capacity in bytes (default: {Topology.cache_capacity})"),
+    "cells": _Key(_int, f"number of eNodeB cells (default: {Topology.cells})"),
+    "eviction": _Key(_lower, f"eviction policy (default: {Topology.eviction})"),
     "seed": _Key(_int, "RNG seed (default: SEMCACHE_SEED or 0)"),
-    "max_prefetch": _Key(_count, "cap prefetches per request (default: unlimited)"),
-    "n_users": _Key(_positive_int, "users in the synthetic workload (default: 20)"),
-    "p_follow": _Key(_probability, f"follow probability (default: {SyntheticSpec.p_follow})"),
+    "max_prefetch": _Key(_int, "cap prefetches per request (default: unlimited)"),
+    "n_users": _Key(_int, "users in the synthetic workload (default: 20)"),
+    "p_follow": _Key(_float, f"follow probability (default: {SyntheticSpec.p_follow})"),
     "gap_ms": _Key(_gap),
-    "requests_per_user": _Key(_range(_positive_int)),
-    **{f"{link}_delay_ms": _Key(_duration) for link in LINKS},
-    **{f"{link}_bandwidth": _Key(_positive) for link in LINKS},
+    "requests_per_user": _Key(_pair(_int)),
+    **{f"{link}_delay_ms": _Key(_float) for link in LINKS},
+    **{f"{link}_bandwidth": _Key(_float) for link in LINKS},
 }
 
 
@@ -165,14 +140,19 @@ def _read(key: str, raw, field: Optional[str] = None):
         raise ConfigError(field or key, f"cannot read {raw!r}: {exc}") from None
 
 
-def _settings(args: argparse.Namespace) -> dict:
-    """The scenario file's values overlaid by the flags given, each read once."""
+def _settings(args: argparse.Namespace) -> tuple[dict, Topology, SyntheticSpec]:
+    """The scenario file's values overlaid by the flags given, each read once,
+    and the ``Topology`` and ``SyntheticSpec`` they make, so that every key
+    present is range-checked, whatever the subcommand uses."""
     raw: dict = {}
     if args.scenario is not None:
         if not os.path.exists(args.scenario):
             raise ConfigError("scenario", f"file not found: {args.scenario}")
-        with open(args.scenario, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
+        try:
+            with open(args.scenario, encoding="utf-8") as fh:
+                raw = yaml.safe_load(fh) or {}
+        except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+            raise ConfigError("scenario", f"cannot read {args.scenario}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("scenario", "scenario file must be a key-value mapping")
         unknown = sorted(str(key) for key in raw if key not in SETTINGS)
@@ -183,13 +163,19 @@ def _settings(args: argparse.Namespace) -> dict:
     env_seed = os.environ.get("SEMCACHE_SEED")
     if "seed" not in settings and env_seed:
         settings["seed"] = _read("seed", env_seed, "SEMCACHE_SEED")
-    return settings
+    return settings, _topology(settings), _workload(settings)
 
 
-def _replace(base, settings: dict, fields: dict[str, str], **more):
-    """``base`` with the given settings among ``fields`` (key: attribute)."""
-    given = {attr: settings[key] for key, attr in fields.items() if key in settings}
-    return replace(base, **given, **more)
+def _replace(base, settings: dict, fields: dict[str, str]):
+    """``base`` with the given settings among ``fields`` (key: attribute), set
+    one at a time, so that a value the type refuses is named by its key."""
+    for key, attr in fields.items():
+        if key in settings:
+            try:
+                base = replace(base, **{attr: settings[key]})
+            except ValueError as exc:
+                raise ConfigError(key, f"cannot use {settings[key]!r}: {exc}") from None
+    return base
 
 
 def _topology(settings: dict) -> Topology:
@@ -201,7 +187,7 @@ def _topology(settings: dict) -> Topology:
         links[link] = _replace(getattr(base, link), settings, fields)
     keys = ("cells", "cache_location", "eviction", "max_prefetch")
     fields = {key: key for key in keys} | {"cache_size": "cache_capacity"}
-    return _replace(base, settings, fields, **links)
+    return replace(_replace(base, settings, fields), **links)
 
 
 def _workload(settings: dict) -> SyntheticSpec:
@@ -217,6 +203,8 @@ def _path(settings: dict, key: str) -> str:
         raise ConfigError(key, "no value given on the command line or in the scenario file")
     if not os.path.exists(path):
         raise ConfigError(key, f"file not found: {path}")
+    if os.path.isdir(path):
+        raise ConfigError(key, f"{path} is a directory")
     return path
 
 
@@ -244,10 +232,9 @@ def _report_lines(report: MetricsReport) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     _check_out_dirs(args, "out", "records")
-    settings = _settings(args)
+    settings, topology, _ = _settings(args)
     kb_path = _path(settings, "kb")
     trace_path = _path(settings, "trace")
-    topology = _topology(settings)
     mode = settings.get("mode", Mode.SEMANTIC)
 
     kb = load_knowledge_base(kb_path)
@@ -281,15 +268,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from semcache.experiments import run_sweep
 
     _check_out_dirs(args, "out")
-    settings = _settings(args)
+    settings, topology, workload = _settings(args)
     kb_path = _path(settings, "kb")
     variable = SweepVariable(args.variable.replace("-", "_"))
     # A user-count sweep varies n_users; the others are named after their key.
     key = "n_users" if variable is SweepVariable.USER_COUNT else variable.value
     values = tuple(_read(key, v, "values") for v in args.values)
-
-    scenario = Scenario(_topology(settings), _workload(settings))
-    spec = SweepSpec(variable, values, scenario, seed=settings.get("seed", 0))
+    try:
+        spec = SweepSpec(variable, values, Scenario(topology, workload), settings.get("seed", 0))
+    except ValueError as exc:
+        raise ConfigError("values", str(exc)) from None
     points = run_sweep(spec, load_knowledge_base(kb_path))
     if args.out:
         sink = io.StringIO()
@@ -301,9 +289,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_gen_trace(args: argparse.Namespace) -> int:
     _check_out_dirs(args, "out")
-    settings = _settings(args)
-    spec = _workload(settings)
-    trace = generate_trace(load_knowledge_base(_path(settings, "kb")), spec)
+    settings, _, workload = _settings(args)
+    trace = generate_trace(load_knowledge_base(_path(settings, "kb")), workload)
     sink = io.StringIO()
     save_trace(trace, sink)
     if args.out:
@@ -368,17 +355,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_settings(p, *keys):
         p.add_argument("--scenario", help="flat YAML scenario file (default: none)")
-        for key in ("kb", "seed", "cells", "cache_location", "cache_size", *keys):
+        for key in ("kb", "seed", "cells", *keys):
             p.add_argument("--" + key.replace("_", "-"), help=SETTINGS[key].help)
 
     p_sim = sub.add_parser("simulate", help="run one simulation")
-    add_settings(p_sim, "trace", "mode", "eviction", "max_prefetch")
+    add_settings(p_sim, "trace", "mode", "cache_location", "cache_size", "eviction", "max_prefetch")
     p_sim.add_argument("--out", help="metrics CSV output path")
     p_sim.add_argument("--records", help="per-request JSON-lines output path")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep in both modes")
-    add_settings(p_sweep, "n_users", "p_follow")
+    add_settings(p_sweep, "cache_location", "cache_size", "n_users", "p_follow")
     p_sweep.add_argument(
         "--variable",
         required=True,

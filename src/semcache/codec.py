@@ -69,6 +69,9 @@ def _check_iri(iri: str) -> None:
         raise ValueError("entity_iri must be non-empty")
     if _CONTROL.search(iri):
         raise ValueError("entity_iri must not contain control characters")
+    # A trace's fields are stripped on load, so such an IRI could not be requested.
+    if iri[0].isspace() or iri[-1].isspace():
+        raise ValueError("entity_iri must not begin or end with whitespace")
 
 
 def _record_len(iri_len: int) -> int:

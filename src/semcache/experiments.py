@@ -61,9 +61,14 @@ class SweepSpec:
         kind, cls = ("a CacheLocation", CacheLocation) if location else ("an int", int)
         for value in self.values:
             # Refused before any point runs, never truncated or converted, so
-            # a point runs the value it reports.
+            # a point runs the value it reports; the type that owns the value
+            # checks its range.
             if not isinstance(value, cls) or isinstance(value, bool):
                 raise TypeError(f"{self.variable.value} sweep value must be {kind}, got {value!r}")
+            try:
+                _apply(self.scenario, self.variable, value)
+            except ValueError as exc:
+                raise ValueError(f"{self.variable.value} sweep value {value!r}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -319,6 +319,25 @@ class TestConfigErrors:
         assert main(["simulate", "--scenario", str(scen)]) == 2
         assert "key-value mapping" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key, content",
+        [
+            ("simulate", "scenario", b"kb: [unclosed\n"),
+            ("simulate", "scenario", b"\xff\xfe"),
+            ("simulate", "scenario", None),
+            ("validate-kb", "kb", None),
+        ],
+        ids=["not-yaml", "not-utf8", "scenario-directory", "kb-directory"],
+    )
+    def test_unreadable_input(self, tmp_path, capsys, command, key, content):
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert main([command, f"--{key}", str(path)]) == 2
+        assert f"config error in '{key}'" in capsys.readouterr().err
+
     def test_flag_read_like_file(self, kb_file, trace_file, tmp_path, capsys):
         scen = tmp_path / "scenario.yaml"
         scen.write_text(f"kb: {kb_file}\ntrace: {trace_file}\nmode: Traditional\n")
@@ -377,11 +396,24 @@ class TestGenTrace:
         assert code == 0
         assert out.read_text().startswith("time_ms")
 
+    @pytest.mark.parametrize("flag, value", [("--cache-size", "5"), ("--cache-location", "pgw")])
+    def test_cache_flags_refused(self, kb_file, flag, value):
+        # A trace does not depend on the cache, so gen-trace has no cache flags.
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-trace", "--kb", kb_file, flag, value])
+        assert exc.value.code == 2
+
 
 class TestValidateKb:
     def test_valid(self, kb_file, capsys):
         assert main(["validate-kb", "--kb", kb_file]) == 0
         assert capsys.readouterr().out == "ok: 2 entities (2 persons, 0 TV series), 3 triples\n"
+
+    def test_edge_whitespace_iri_reports_type_line(self, tmp_path, capsys):
+        path = tmp_path / "spaced.triples"
+        path.write_text('" wiki/A" type Person\n" wiki/A" size 100\n')
+        assert main(["validate-kb", "--kb", str(path)]) == 1
+        assert "line 1: entity_iri must not begin or end" in capsys.readouterr().err
 
     def test_missing_size_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.triples"
@@ -403,6 +435,10 @@ class TestCodec:
     @pytest.mark.parametrize("iri", ["wiki/a\tb", "x" * 2028], ids=["tab", "too-long"])
     def test_refused_iri_is_config_error(self, iri, capsys):
         assert main(["codec", "encode", "--iri", iri]) == 2
+        assert "config error in 'iri'" in capsys.readouterr().err
+
+    def test_edge_whitespace_iri_is_config_error(self, capsys):
+        assert main(["codec", "encode", "--iri", " wiki/A"]) == 2
         assert "config error in 'iri'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("action, flag", [("encode", "iri"), ("decode", "hex")])

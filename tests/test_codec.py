@@ -107,6 +107,15 @@ class TestEncode:
         iri = f"wiki/a{char}b"
         assert MetadataDescriptor(iri, EntityKind.PERSON).entity_iri == iri
 
+    @pytest.mark.parametrize(
+        "iri", [" wiki/A", "wiki/A ", "wiki/A\xa0", "\u3000wiki/A", " "],
+        ids=["leading-space", "trailing-space", "trailing-nbsp", "ideographic-space", "space"],
+    )
+    def test_edge_whitespace_rejected(self, iri):
+        # A trace strips its fields, so such an IRI could never be requested.
+        with pytest.raises(ValueError, match="begin or end with whitespace"):
+            MetadataDescriptor(iri, EntityKind.PERSON)
+
 
 class TestDecode:
     def test_round_trip_simple(self):
@@ -234,6 +243,7 @@ class TestWireFormat:
 
 iris = st.text(min_size=1, max_size=400).filter(
     lambda s: all(ord(c) >= 0x20 and ord(c) != 0x7F for c in s)
+    and not (s[0].isspace() or s[-1].isspace())
     and len(s.encode("utf-8")) <= 2027
 )
 

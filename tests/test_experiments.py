@@ -181,10 +181,31 @@ class TestRunSweep:
             run_sweep(spec, kb)
         assert calls == []
 
-    def test_failure_names_sweep_point(self, kb):
+    @pytest.mark.parametrize(
+        "variable, values",
+        [(SweepVariable.CACHE_SIZE, (20_000_000, -5)), (SweepVariable.USER_COUNT, (2, 0))],
+        ids=["cache-size", "user-count"],
+    )
+    def test_out_of_range_value_refused_before_any_point(self, kb, monkeypatch, variable, values):
+        """The type that owns the swept value refuses it when the spec is built."""
+        calls = []
+        real = experiments.run_simulation
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_simulation", counting)
         scen = Scenario(topology=reference_topology(), workload=small_workload())
-        spec = SweepSpec(SweepVariable.CACHE_SIZE, (-5,), scen, seed=1)
-        with pytest.raises(Exception, match="cache_size=-5"):
+        with pytest.raises(ValueError, match=f"{variable.value} sweep value {values[1]}"):
+            run_sweep(SweepSpec(variable, values, scen), kb)
+        assert calls == []
+
+    def test_failure_names_sweep_point(self, kb):
+        # The trace's 8 cells exceed the topology's 4, which only running finds.
+        scen = Scenario(reference_topology(), replace(small_workload(), n_cells=8))
+        spec = SweepSpec(SweepVariable.CACHE_SIZE, (20_000_000,), scen, seed=1)
+        with pytest.raises(Exception, match="cache_size=20000000 failed: .*outside topology"):
             run_sweep(spec, kb)
 
     def test_variable_must_be_a_sweep_variable(self):

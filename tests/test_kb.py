@@ -141,6 +141,13 @@ class TestLoad:
         assert main(["validate-kb", "--kb", str(path)]) == 1
         assert "line 2: entity_iri must not contain control characters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("iri", [" wiki/A", "wiki/A\xa0"], ids=["leading-space", "nbsp"])
+    def test_edge_whitespace_iri_fails_at_type_line(self, iri):
+        text = f'"{iri}" size 100\n"{iri}" type Person\n'
+        with pytest.raises(ParseError, match="begin or end with whitespace") as exc:
+            load_knowledge_base(io.StringIO(text))
+        assert exc.value.line_no == 2
+
 
 # Characters shlex treats specially (doubled, so they are drawn more often),
 # whitespace it does and does not split on, non-ASCII letters, plain ones.

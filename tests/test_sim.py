@@ -676,6 +676,33 @@ class TestConcurrencyInvariant:
         assert sem[0].latency_ms == trad[0].latency_ms == 80.0
 
 
+class TestArrivalAsFetchLands:
+    """A request reaches its eNodeB cache at 374 ms, just as the fetch of its
+    content lands there.  Links carry 1 byte/ms with delays 10/5/5/20 ms, and
+    the fetch of the 100-byte ``a`` for the request issued at 0 claimed its
+    last hop at 269 ms.  Equal-time events run in the order their previous
+    hop was claimed, so the fetch lands first when the second request claimed
+    its first link later, at 363 ms, and not when that request arrives a
+    millisecond earlier."""
+
+    def _run(self, second_issued_at):
+        kb = load_knowledge_base(io.StringIO('"a" type Person\n"a" size 100\n'))
+        topology = Topology(1, *(LinkSpec(delay, 1.0) for delay in (10.0, 5.0, 5.0, 20.0)))
+        trace = [TraceEntry(0.0, 0, 0, "a"), TraceEntry(second_issued_at, 1, 0, "a")]
+        return run_simulation(topology, kb, trace, Mode.TRADITIONAL)
+
+    def test_fetch_claimed_first_lands_first(self):
+        report, records = self._run(363.0)
+        assert [r.served_from for r in records] == [ServedFrom.ORIGIN, ServedFrom.CACHE]
+        assert [r.completed_at for r in records] == [484.0, 584.0]
+        assert report.origin_bytes == 100
+
+    def test_earlier_arrival_misses(self):
+        report, records = self._run(362.0)
+        assert [r.served_from for r in records] == [ServedFrom.ORIGIN, ServedFrom.ORIGIN]
+        assert report.origin_bytes == 200
+
+
 class TestPlacement:
     def test_hit_latency_ordering(self):
         kb = pair_kb()
