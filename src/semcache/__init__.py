@@ -24,7 +24,6 @@ from semcache.sim import (
     Mode,
     RequestRecord,
     Topology,
-    metadata_overhead,
     run_simulation,
 )
 from semcache.metrics import MetricsReport
@@ -57,7 +56,6 @@ __all__ = [
     "improvement",
     "load_knowledge_base",
     "load_trace",
-    "metadata_overhead",
     "run_simulation",
     "run_sweep",
     "wire_size",

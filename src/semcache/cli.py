@@ -209,9 +209,12 @@ def _path(settings: dict, key: str) -> str:
 
 
 def _check_out_dirs(args: argparse.Namespace, *flags: str) -> None:
-    """Refuse an output path in a missing directory before any work is done."""
+    """Refuse an output path that names a directory, or lies in a missing
+    one, before any work is done."""
     for flag in flags:
         path = getattr(args, flag)
+        if path and os.path.isdir(path):
+            raise ConfigError(flag, f"{path} is a directory")
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ConfigError(flag, f"the directory of {path} does not exist")
 

@@ -55,7 +55,7 @@ from semcache.cache import EVICTION_POLICIES, Cache, ContentOrigin
 # Not called here: ``sim.wire_size`` stays importable because the
 # benchmark's tracer wraps it there to time the codec.
 from semcache.codec import MetadataDescriptor, _header_size, wire_size  # noqa: F401
-from semcache.kb import KnowledgeBase, UnknownEntity, infer_next
+from semcache.kb import KnowledgeBase, infer_next
 from semcache.metrics import MetricsReport
 from semcache.workload import TraceEntry
 
@@ -178,13 +178,20 @@ class _PreparedTrace(list):
 
     @functools.cached_property
     def overhead(self) -> dict:
-        """``metadata_overhead`` of the trace, counted on first use."""
+        """Bytes added by carrying metadata headers, versus delivered content,
+        counted on first use.  Per request that is the full wire size of its
+        hop-by-hop header, which depends only on its IRI's UTF-8 byte length:
+        each distinct length is sized once, with no header built."""
         rows, sizes = self.rows, self.kb.sizes
-        return _count_overhead(
-            map(itemgetter(1), rows),
-            map(itemgetter(4), rows),
-            (sizes[descriptor.entity_iri] for _, _, _, descriptor, _ in rows),
-        )
+        lengths = Counter(map(itemgetter(4), rows))
+        total = sum(_header_size(nbytes) * n for nbytes, n in lengths.items())
+        content = sum(sizes[descriptor.entity_iri] for _, _, _, descriptor, _ in rows)
+        n_users = len(set(map(itemgetter(1), rows)))
+        return {
+            "total_bytes": total,
+            "per_user_bytes": total / n_users if n_users else 0.0,
+            "ratio_of_total_traffic": total / content if content else 0.0,
+        }
 
 
 class _Channel:
@@ -482,37 +489,3 @@ def run_simulation(
     if unserved is not None:
         raise SimulationError(f"request {unserved.request_id} was never served")
     return sim.report(seed), sim.records
-
-
-def metadata_overhead(trace: Sequence[TraceEntry], kb: KnowledgeBase) -> dict:
-    """Bytes added by carrying metadata headers, versus delivered content.
-
-    Per request the overhead is the full wire size of its hop-by-hop header
-    (a request without the framework carries no such header at all).  A
-    header's size depends only on its IRI's UTF-8 byte length, so each
-    distinct length is sized once and counted once per request of that length.
-    """
-    iris = [entry.entity_iri for entry in trace]
-    unknown = next((iri for iri in iris if iri not in kb), None)
-    if unknown is not None:
-        raise UnknownEntity(unknown)
-    return _count_overhead(
-        (entry.user_id for entry in trace),
-        (len(iri.encode("utf-8")) for iri in iris),
-        map(kb.sizes.__getitem__, iris),
-    )
-
-
-def _count_overhead(
-    users: Iterable[int], iri_lengths: Iterable[int], content_sizes: Iterable[int]
-) -> dict:
-    """``metadata_overhead`` from each request's user, IRI byte length and
-    content size, with no header built."""
-    total = sum(_header_size(nbytes) * n for nbytes, n in Counter(iri_lengths).items())
-    content = sum(content_sizes)
-    n_users = len(set(users))
-    return {
-        "total_bytes": total,
-        "per_user_bytes": total / n_users if n_users else 0.0,
-        "ratio_of_total_traffic": total / content if content else 0.0,
-    }

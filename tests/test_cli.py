@@ -278,7 +278,7 @@ class TestConfigErrors:
         assert main([command, "--scenario", str(scen)]) == 2
         assert name in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
+    _OUTPUT_FLAGS = pytest.mark.parametrize(
         "argv, flag",
         [
             (["simulate", "--out"], "out"),
@@ -287,19 +287,35 @@ class TestConfigErrors:
             (["gen-trace", "--out"], "out"),
         ],
     )
-    def test_missing_output_directory(
-        self, kb_file, trace_file, tmp_path, capsys, monkeypatch, argv, flag
-    ):
+
+    def _refused_before_kb(self, monkeypatch, kb_file, trace_file, tmp_path, argv, out):
         def no_kb(path):
             raise AssertionError("the KB loaded before the output path was checked")
 
         monkeypatch.setattr("semcache.cli.load_knowledge_base", no_kb)
         scen = tmp_path / "scenario.yaml"
         scen.write_text(f"kb: {kb_file}\ntrace: {trace_file}\n")
+        return main(argv + [out, "--scenario", str(scen)])
+
+    @_OUTPUT_FLAGS
+    def test_missing_output_directory(
+        self, kb_file, trace_file, tmp_path, capsys, monkeypatch, argv, flag
+    ):
         out = str(tmp_path / "missing" / "x")
-        assert main(argv + [out, "--scenario", str(scen)]) == 2
+        assert self._refused_before_kb(monkeypatch, kb_file, trace_file, tmp_path, argv, out) == 2
         err = capsys.readouterr().err
         assert f"config error in '{flag}'" in err and out in err
+
+    @_OUTPUT_FLAGS
+    def test_output_path_is_a_directory(
+        self, kb_file, trace_file, tmp_path, capsys, monkeypatch, argv, flag
+    ):
+        out = tmp_path / "existing"
+        out.mkdir()
+        code = self._refused_before_kb(monkeypatch, kb_file, trace_file, tmp_path, argv, str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error in '{flag}': {out} is a directory" in err
 
     def test_missing_records_directory_leaves_no_file(self, kb_file, trace_file, tmp_path):
         ok = tmp_path / "ok.csv"

@@ -26,7 +26,6 @@ from semcache.sim import (
     _Channel,
     _EventLoop,
     _Simulation,
-    metadata_overhead,
     run_simulation,
 )
 from semcache.workload import TraceEntry
@@ -703,6 +702,42 @@ class TestArrivalAsFetchLands:
         assert report.origin_bytes == 200
 
 
+class TestEvictionTie:
+    """Two cache hits at the same instant decide which entry the next insert
+    evicts.  Three 50-byte Persons share one 100-byte S-GW cache over two
+    cells; ``a`` and ``b`` are cached, the requests issued at 1000 ms hit
+    ``x`` then ``y`` together at 1030.0896 ms, and ``c`` at 2000 ms evicts
+    one of them.  Equal-time hits run in trace order, so under LRU the one
+    hit first is evicted; FIFO evicts ``a``, the first inserted."""
+
+    def _run(self, eviction, x, y):
+        text = "".join(f'"wiki/{e}" type Person\n"wiki/{e}" size 50\n' for e in "abc")
+        kb = load_knowledge_base(io.StringIO(text))
+        topology = Topology(
+            cells=2, cache_location=CacheLocation.SGW, cache_capacity=100, eviction=eviction
+        )
+        steps = [(0, 0, 0, "a"), (0, 1, 1, "b"), (1000, 0, 0, x), (1000, 1, 1, y),
+                 (2000, 0, 0, "c"), (3000, 0, 0, "a"), (3000, 1, 1, "b")]
+        trace = [TraceEntry(float(t), user, cell, f"wiki/{e}") for t, user, cell, e in steps]
+        report, records = run_simulation(topology, kb, trace, Mode.TRADITIONAL)
+        assert records[2].served_from is records[3].served_from is ServedFrom.CACHE
+        assert records[2].completed_at == records[3].completed_at == pytest.approx(1030.0896)
+        assert report.origin_bytes == 200
+        return [r.served_from for r in records[5:]]
+
+    @pytest.mark.parametrize(
+        "eviction, x, y, a_from, b_from",
+        [
+            ("lru", "a", "b", ServedFrom.ORIGIN, ServedFrom.CACHE),
+            ("lru", "b", "a", ServedFrom.CACHE, ServedFrom.ORIGIN),
+            ("fifo", "a", "b", ServedFrom.ORIGIN, ServedFrom.CACHE),
+            ("fifo", "b", "a", ServedFrom.ORIGIN, ServedFrom.CACHE),
+        ],
+    )
+    def test_equal_time_hits_in_trace_order(self, eviction, x, y, a_from, b_from):
+        assert self._run(eviction, x, y) == [a_from, b_from]
+
+
 class TestPlacement:
     def test_hit_latency_ordering(self):
         kb = pair_kb()
@@ -966,12 +1001,10 @@ class TestNoReferenceCycle:
 
 class TestMetadataOverhead:
     def test_empty_trace(self):
-        out = metadata_overhead([], pair_kb())
-        assert out == {
-            "total_bytes": 0,
-            "per_user_bytes": 0.0,
-            "ratio_of_total_traffic": 0.0,
-        }
+        report, _ = run_simulation(topo(), pair_kb(), [], Mode.SEMANTIC)
+        assert report.metadata_overhead_bytes == 0
+        assert report.per_user_metadata_bytes == 0.0
+        assert report.metadata_traffic_ratio == 0.0
 
     def test_per_user_accumulation(self):
         # One entity whose header wire size is exactly 64 bytes:
@@ -981,14 +1014,10 @@ class TestMetadataOverhead:
         text = f'"{iri}" type Person\n"{iri}" size 640000\n'
         kb = load_knowledge_base(io.StringIO(text))
         trace = [TraceEntry(float(i), 0, 0, iri) for i in range(20)]
-        out = metadata_overhead(trace, kb)
-        assert out["total_bytes"] == 20 * 64
-        assert out["per_user_bytes"] == 1280.0
-        assert out["ratio_of_total_traffic"] == pytest.approx(1280 / 12_800_000)
-
-    def test_unknown_entity(self):
-        with pytest.raises(UnknownEntity):
-            metadata_overhead([TraceEntry(0.0, 0, 0, "wiki/Nope")], pair_kb())
+        report, _ = run_simulation(topo(), kb, trace, Mode.SEMANTIC)
+        assert report.metadata_overhead_bytes == 20 * 64
+        assert report.per_user_metadata_bytes == 1280.0
+        assert report.metadata_traffic_ratio == pytest.approx(1280 / 12_800_000)
 
     # IRIs of 1 to 600 UTF-8 bytes, multi-byte characters included, that the
     # KB parser reads as plain quoted IRIs.
@@ -1022,7 +1051,6 @@ class TestMetadataOverhead:
             "ratio_of_total_traffic": total / sum(kb.sizes[e.entity_iri] for e in trace),
         }
         report, _ = run_simulation(topo(), kb, trace, Mode.SEMANTIC)
-        assert metadata_overhead(trace, kb) == oracle
         assert {
             "total_bytes": report.metadata_overhead_bytes,
             "per_user_bytes": report.per_user_metadata_bytes,
