@@ -9,20 +9,25 @@ between the UE and the cache and those between the cache and the origin.
 Each link direction is a FIFO channel: a transfer occupies the channel for
 ``bytes / bandwidth`` ms and arrives ``propagation_delay`` ms after its
 transmission ends, so concurrent transfers queue behind each other but the
-two directions never interfere.  A message claims the first channel of
-its path when it is sent and each later one when the heap event of its
-arrival at that hop pops.  Event order is fixed by two rules: a request
-issued at t claims its first link before any message that arrives at t,
-and other equal-time events run in the order their hop was claimed.  The
-trace's requests are merged into the heap as the clock reaches them, so
-the heap holds only messages in flight.  A delivery claims all its links
-when it leaves the cache node, with no heap event (see ``_deliver``).
+two directions never interfere.  The links from the UE to the cache node
+carry only requests, so ``schedule_trace`` claims them all before the run,
+level by level, each in order of arrival at the node before it (trace order
+at the first link).  A fetch claims the first channel of its path when it
+is sent and each later one when the heap event of its arrival at that hop
+pops.  Event order is fixed by two rules: at a cache node, requests that
+arrive at T run before any other event at T, in their claim order; other
+equal-time events run in the order their previous hop was claimed.  The
+requests are merged into the heap's events as the clock reaches their
+arrival at the cache node, so the heap holds only fetches in flight.  A
+delivery claims all its links when it leaves the cache node, with no heap
+event (see ``_deliver``).
 
 ``_Channel.transfer`` is the one definition of a channel claim.  The two
-places that claim a channel per request, ``_EventLoop.run``'s hop claim
-and ``_Simulation._deliver``'s delivery chain, write it out with the same
-expression in the same order, so their floats are the same;
-``tests/test_sim.py::TestWrittenOutTransfer`` pins both to ``transfer``.
+places that claim a channel per request, ``_Simulation.schedule_trace``'s
+access claim and ``_Simulation._deliver``'s delivery chain, write it out
+with the same expression in the same order, so their floats are the same;
+``tests/test_sim.py`` pins them to ``transfer`` and to hop-by-hop claims
+(``TestAccessArrivalsMatchHopByHop``, ``TestWrittenOutTransfer``).
 
 A trace is checked and described once per (trace, KB, cell count): its
 order, each entry's descriptor, its cell range and each request's size are
@@ -49,7 +54,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from semcache.cache import EVICTION_POLICIES, Cache, ContentOrigin
 # Not called here: ``sim.wire_size`` stays importable because the
@@ -207,9 +212,9 @@ class _Channel:
     def transfer(self, at: float, nbytes: float) -> float:
         """Claim the channel at ``at``; return the arrival time.
 
-        ``_EventLoop.run`` and ``_Simulation._deliver`` write this law out,
-        as a call costs more; ``TestWrittenOutTransfer`` in
-        ``tests/test_sim.py`` checks that they stay the same."""
+        ``_Simulation.schedule_trace`` and ``_Simulation._deliver`` write
+        this law out, as a call costs more; ``tests/test_sim.py`` checks
+        that they stay the same."""
         busy = self.busy_until  # ``max(at, busy)`` is written out below: a call costs more
         busy = self.busy_until = (busy if busy > at else at) + nbytes / self.bandwidth
         return busy + self.delay
@@ -222,8 +227,9 @@ _CACHE_DEPTH = {CacheLocation.ENODEB: 1, CacheLocation.SGW: 2, CacheLocation.PGW
 _Path = tuple[_Channel, ...]
 _Then = Callable[[float, Any], None]  # called as then(arrival time, arg)
 _Waiters = list[RequestRecord]
-# (t, channels, nbytes, then, arg): a message sent at ``t`` from outside the loop.
-_Arrival = tuple[float, _Path, float, _Then, Any]
+# (t, then, arg): a request reaching its cache node at ``t``, whose access
+# links are already claimed; ``then(t, arg)`` runs before any heap event at ``t``.
+_Arrival = tuple[float, _Then, Any]
 
 
 @dataclass(frozen=True)
@@ -262,27 +268,23 @@ class _EventLoop:
 
     def run(self, arrivals: Iterable[_Arrival] = ()) -> None:
         """Run until the heap is empty, merging in the time-ordered ``arrivals``:
-        each is sent when its time is at most that of the heap's next event.
-        The loop claims each hop itself, with ``_Channel.transfer``'s law
-        written out."""
+        each calls ``then(t, arg)`` when its time is at most that of the
+        heap's next event, and claims no channel."""
         heap, seq = self._heap, self._seq
         pop, push = heapq.heappop, heapq.heappush
         pending = iter(arrivals)
         arrival = next(pending, None)
-        while heap or arrival is not None:
-            if arrival is not None and (not heap or arrival[0] <= heap[0][0]):
-                time, channels, nbytes, then, arg = arrival
-                index = 0
+        while heap or arrival:
+            if arrival and (not heap or arrival[0] <= heap[0][0]):
+                time, then, arg = arrival
                 arrival = next(pending, None)
             else:
                 time, _, channels, index, nbytes, then, arg = pop(heap)
-                if index == len(channels):
-                    then(time, arg)
+                if index < len(channels):
+                    arrive = channels[index].transfer(time, nbytes)
+                    push(heap, (arrive, next(seq), channels, index + 1, nbytes, then, arg))
                     continue
-            channel = channels[index]
-            busy = channel.busy_until
-            busy = channel.busy_until = (busy if busy > time else time) + nbytes / channel.bandwidth
-            push(heap, (busy + channel.delay, next(seq), channels, index + 1, nbytes, then, arg))
+            then(time, arg)
 
 
 class _Simulation:
@@ -331,19 +333,37 @@ class _Simulation:
 
     # -- request lifecycle --------------------------------------------------
 
-    def schedule_trace(self) -> Iterator[_Arrival]:
-        """Record each request and return an iterator of its arrivals in order."""
+    def schedule_trace(self) -> list[_Arrival]:
+        """Record each request, claim its access links and return its
+        arrivals at the cache node in the order they run.
+
+        Only requests cross these links, so they can be claimed before the
+        run, one level at a time: the first link in trace order and each
+        later one in order of arrival at the node before it.  A stable sort
+        keeps the previous level's order on ties, as hop-by-hop claims
+        would.  ``_Channel.transfer``'s law is written out."""
         rows = self.trace.rows
         self.records = [
             RequestRecord(idx, user, cell, descriptor, t)
             for idx, (t, user, cell, descriptor, _) in enumerate(rows)
         ]
         ups = [route.access_up for route in self.routes]
-        at_cache = self._at_cache
-        return (
-            (t, ups[cell], nbytes, at_cache, record)
-            for (t, _, cell, _, nbytes), record in zip(rows, self.records)
-        )
+        # Lists of floats and ints, not a tuple per request and level: tuples
+        # that live across levels set off the garbage collector.
+        paths = [ups[cell] for _, _, cell, _, _ in rows]
+        sizes = [nbytes for _, _, _, _, nbytes in rows]
+        times = [t for t, _, _, _, _ in rows]  # each request's time at the node it reached
+        order = range(len(rows))
+        for level in range(len(ups[0])):
+            for i in order:
+                channel = paths[i][level]
+                t = times[i]
+                busy = channel.busy_until
+                busy = channel.busy_until = (busy if busy > t else t) + sizes[i] / channel.bandwidth
+                times[i] = busy + channel.delay
+            order = sorted(order, key=times.__getitem__)
+        at_cache, records = self._at_cache, self.records
+        return [(times[i], at_cache, records[i]) for i in order]
 
     def _at_cache(self, t: float, record: RequestRecord) -> None:
         route = self.routes[record.cell_id]

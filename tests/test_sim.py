@@ -104,11 +104,14 @@ class TestEventLoop:
         def then(t, arg):
             arrivals.append((t, arg))
 
+        def send_over_channel(t, arg):
+            loop.send((channel,), t, 1000, then, arg)
+
         loop = _EventLoop()
         # Sent at 0 over a 1 ms + 4 ms link, this message reaches the
         # contended channel in a heap event at 5 ms.
         loop.send((_Channel(LinkSpec(4.0, 1000.0)), channel), 0.0, 1000, then, "heap")
-        loop.run([(arrival_time, (channel,), 1000, then, "arrival")])
+        loop.run([(arrival_time, send_over_channel, "arrival")])
         return arrivals
 
     def test_arrival_runs_before_equal_time_heap_event(self):
@@ -171,10 +174,12 @@ _NBYTES = st.integers(0, 200_000)
 
 
 class TestWrittenOutTransfer:
-    """``_EventLoop.run``'s hop claim and ``_Simulation._deliver``'s delivery
-    chain write out ``_Channel.transfer``'s law; every arrival time and every
-    ``busy_until`` they leave is the same float as a chain of ``transfer``
-    calls on fresh channels gives."""
+    """``_EventLoop.run``'s hop claims, against which
+    ``TestAccessArrivalsMatchHopByHop`` checks ``schedule_trace``'s access
+    claims, and ``_Simulation._deliver``'s delivery chain, which writes out
+    ``_Channel.transfer``'s law: every arrival time and every ``busy_until``
+    they leave is the same float as a chain of ``transfer`` calls on fresh
+    channels gives."""
 
     @staticmethod
     def _twins(channels):
@@ -208,10 +213,12 @@ class TestWrittenOutTransfer:
                 expected[i] = twins[channel].transfer(expected[i], nbytes)
 
         arrived = []
-        _EventLoop().run(
-            (t, path, nbytes, lambda t, i: arrived.append((t.hex(), i)), i)
-            for i, (t, nbytes) in enumerate(messages)
-        )
+        loop = _EventLoop()
+
+        def send(t, i):
+            loop.send(path, t, messages[i][1], lambda t, i: arrived.append((t.hex(), i)), i)
+
+        loop.run((t, send, i) for i, (t, _) in enumerate(messages))
         assert arrived == [(t.hex(), i) for i, t in enumerate(expected)]
         for channel in path:
             assert channel.busy_until.hex() == twins[channel].busy_until.hex()
@@ -246,11 +253,85 @@ class TestWrittenOutTransfer:
         assert sim.loop._heap == []
 
 
+# Delays and bandwidths whose sums and quotients tie often.
+_TIE_LINK = st.builds(
+    LinkSpec,
+    st.sampled_from([0.0, 1.0, 2.5, 5.0]),
+    st.sampled_from([0.5, 1.0, 2.0, 1e6]),
+)
+_IRIS = ("a", "bb", "cccc")
+
+
+class TestAccessArrivalsMatchHopByHop:
+    """``schedule_trace`` claims every access link before the run; its
+    arrivals at the cache node, their order and every access channel's
+    ``busy_until`` are those of the same requests sent hop by hop through
+    ``_EventLoop`` as they are issued."""
+
+    @staticmethod
+    def _sim(links, cells, location, steps):
+        kb = load_knowledge_base(
+            io.StringIO("".join(f'"{iri}" type Person\n"{iri}" size 10\n' for iri in _IRIS))
+        )
+        trace, time = [], 0.0
+        for gap, cell, iri in steps:
+            time += gap
+            trace.append(TraceEntry(time, 0, cell % cells, iri))
+        topology = Topology(cells, *links, cache_location=location)
+        return _Simulation(topology, kb, trace, Mode.TRADITIONAL)
+
+    @given(
+        links=st.lists(_TIE_LINK, min_size=4, max_size=4),
+        cells=st.integers(1, 3),
+        location=st.sampled_from(CacheLocation),
+        # (gap before the request in ms, cell, IRI)
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.integers(0, 2), st.sampled_from(_IRIS)
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    # The second and third requests reach the S-GW together at 7 ms, in the
+    # reverse of their trace order at the eNodeB, and share the P-GW link.
+    @example(
+        links=[LinkSpec(0.0, 2.0), LinkSpec(0.0, 1.0), LinkSpec(0.0, 1e6), LinkSpec(0.0, 1.0)],
+        cells=2,
+        location=CacheLocation.PGW,
+        steps=[(0.0, 1, "cccc"), (1.0, 0, "cccc"), (0.0, 1, "a")],
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_arrivals_and_channels(self, links, cells, location, steps):
+        sim = self._sim(links, cells, location, steps)
+        claimed = [(t.hex(), record.request_id) for t, _, record in sim.schedule_trace()]
+
+        hop_by_hop = self._sim(links, cells, location, steps)
+        arrived = []
+        loop = hop_by_hop.loop
+
+        def send(t, i):
+            _, _, cell, _, nbytes = hop_by_hop.trace.rows[i]
+            path = hop_by_hop.routes[cell].access_up
+            loop.send(path, t, nbytes, lambda t, i: arrived.append((t.hex(), i)), i)
+
+        loop.run((row[0], send, i) for i, row in enumerate(hop_by_hop.trace.rows))
+        assert claimed == arrived
+
+        def access_channels(sim):
+            return list(dict.fromkeys(c for route in sim.routes for c in route.access_up))
+
+        for channel, twin in zip(access_channels(sim), access_channels(hop_by_hop), strict=True):
+            assert channel.busy_until.hex() == twin.busy_until.hex()
+
+
 class TestHeapEvents:
-    """Each link a message crosses costs one heap push and one pop, except a
-    delivery's links, which it claims at once when it leaves the cache node.
-    A miss crosses the depth (1, 2 or 3) links up to the cache node and
-    2 x (4 - depth) to the origin and back: 7/6/5 events.  A hit takes 1/2/3."""
+    """Each link a fetch crosses costs one heap push and one pop.  A request
+    claims its links up to the cache node before the run, and a delivery
+    claims its links at once when it leaves the cache node, so neither costs
+    a heap event.  A miss's fetch crosses the 2 x (4 - depth) links from a
+    cache node of depth 1, 2 or 3 to the origin and back: 6/4/2 events.  A
+    hit takes none."""
 
     @pytest.fixture
     def count(self, monkeypatch):
@@ -269,10 +350,10 @@ class TestHeapEvents:
         return count
 
     @pytest.mark.parametrize(
-        "location, miss_events, hit_events",
-        [(CacheLocation.ENODEB, 7, 1), (CacheLocation.SGW, 6, 2), (CacheLocation.PGW, 5, 3)],
+        "location, miss_events",
+        [(CacheLocation.ENODEB, 6), (CacheLocation.SGW, 4), (CacheLocation.PGW, 2)],
     )
-    def test_events_per_request(self, count, location, miss_events, hit_events):
+    def test_events_per_request(self, count, location, miss_events):
         kb = load_knowledge_base(io.StringIO('"wiki/Alice" type Person\n"wiki/Alice" size 500\n'))
         miss = [TraceEntry(0.0, 0, 0, "wiki/Alice")]
         run_simulation(topo(location), kb, miss, Mode.TRADITIONAL)
@@ -281,8 +362,7 @@ class TestHeapEvents:
         hit = TraceEntry(10_000.0, 0, 0, "wiki/Alice")
         _, records = run_simulation(topo(location), kb, miss + [hit], Mode.TRADITIONAL)
         assert records[1].served_from is ServedFrom.CACHE
-        events = miss_events + hit_events
-        assert count == {"pops": events, "pushes": events}
+        assert count == {"pops": miss_events, "pushes": miss_events}
 
 
 class TestDeliveryLinks:
@@ -676,13 +756,13 @@ class TestConcurrencyInvariant:
 
 
 class TestArrivalAsFetchLands:
-    """A request reaches its eNodeB cache at 374 ms, just as the fetch of its
-    content lands there.  Links carry 1 byte/ms with delays 10/5/5/20 ms, and
-    the fetch of the 100-byte ``a`` for the request issued at 0 claimed its
-    last hop at 269 ms.  Equal-time events run in the order their previous
-    hop was claimed, so the fetch lands first when the second request claimed
-    its first link later, at 363 ms, and not when that request arrives a
-    millisecond earlier."""
+    """A request reaches its eNodeB cache just as the fetch of its content
+    lands there, at 374 ms.  Links carry 1 byte/ms with delays 10/5/5/20 ms,
+    and the fetch of the 100-byte ``a`` for the request issued at 0 lands at
+    374 ms.  At a cache node a request that arrives at T runs before any
+    other event at T, so the request issued at 363 ms, which arrives at
+    374 ms, misses and fetches again; one issued a millisecond later arrives
+    after the fetch has landed and hits."""
 
     def _run(self, second_issued_at):
         kb = load_knowledge_base(io.StringIO('"a" type Person\n"a" size 100\n'))
@@ -690,8 +770,14 @@ class TestArrivalAsFetchLands:
         trace = [TraceEntry(0.0, 0, 0, "a"), TraceEntry(second_issued_at, 1, 0, "a")]
         return run_simulation(topology, kb, trace, Mode.TRADITIONAL)
 
-    def test_fetch_claimed_first_lands_first(self):
+    def test_arrival_as_fetch_lands_misses(self):
         report, records = self._run(363.0)
+        assert [r.served_from for r in records] == [ServedFrom.ORIGIN, ServedFrom.ORIGIN]
+        assert [r.completed_at for r in records] == [484.0, 847.0]
+        assert report.origin_bytes == 200
+
+    def test_later_arrival_hits(self):
+        report, records = self._run(364.0)
         assert [r.served_from for r in records] == [ServedFrom.ORIGIN, ServedFrom.CACHE]
         assert [r.completed_at for r in records] == [484.0, 584.0]
         assert report.origin_bytes == 100
