@@ -37,6 +37,7 @@ from semcache.experiments import (
     SweepPoint,
     SweepSpec,
     SweepVariable,
+    run_sweep,
     summary_table,
     write_csv,
 )
@@ -268,8 +269,6 @@ def _record_dict(r) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from semcache.experiments import run_sweep
-
     _check_out_dirs(args, "out")
     settings, topology, workload = _settings(args)
     kb_path = _path(settings, "kb")

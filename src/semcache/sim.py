@@ -14,13 +14,12 @@ carry only requests, so ``schedule_trace`` claims them all before the run,
 level by level, each in order of arrival at the node before it (trace order
 at the first link).  A fetch claims the first channel of its path when it
 is sent and each later one when the heap event of its arrival at that hop
-pops.  Event order is fixed by two rules: at a cache node, requests that
-arrive at T run before any other event at T, in their claim order; other
-equal-time events run in the order their previous hop was claimed.  The
-requests are merged into the heap's events as the clock reaches their
-arrival at the cache node, so the heap holds only fetches in flight.  A
-delivery claims all its links when it leaves the cache node, with no heap
-event (see ``_deliver``).
+pops.  Equal-time events run in the order their previous hop was claimed,
+so requests that reach a cache node at T, their links claimed before the
+run, run before any other event at T.  They are merged into the heap's
+events as the clock reaches them, so the heap holds only fetches in
+flight.  A delivery claims all its links when it leaves the cache node,
+with no heap event (see ``_deliver``).
 
 ``_Channel.transfer`` is the one definition of a channel claim.  The two
 places that claim a channel per request, ``_Simulation.schedule_trace``'s
@@ -53,7 +52,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from semcache.cache import EVICTION_POLICIES, Cache, ContentOrigin
@@ -160,26 +158,27 @@ class RequestRecord:
 class _PreparedTrace(list):
     """The entries of a trace, checked against one KB and cell count.
 
-    ``rows`` holds each entry's (time, user, cell, descriptor, request
-    bytes).  Each entry is checked for time order, then described, then
-    checked for its cell range, so the first bad entry's first fault is the
-    one raised.  Not to be changed once built."""
+    ``descriptors`` and ``nbytes`` hold what the entries lack: each one's
+    descriptor and its IRI's UTF-8 byte length.  Each entry is checked for
+    time order, then described, then checked for its cell range, so the
+    first bad entry's first fault is the one raised.  Not to be changed
+    once built."""
 
     def __init__(self, trace: Iterable[TraceEntry], kb: KnowledgeBase, cells: int):
         super().__init__(trace)
         self.kb = kb
         self.cells = cells
-        self.rows: list[tuple[float, int, int, MetadataDescriptor, int]] = []
+        self.descriptors: list[MetadataDescriptor] = []
+        self.nbytes: list[int] = []
         prev_time = 0.0
         for idx, entry in enumerate(self):
             if entry.time_ms < prev_time:
                 raise UnsortedTrace(idx)
             prev_time = entry.time_ms
-            descriptor = kb.describe(entry.entity_iri)
+            self.descriptors.append(kb.describe(entry.entity_iri))
             if not 0 <= entry.cell_id < cells:
                 raise SimulationError(f"trace entry {idx}: cell {entry.cell_id} outside topology")
-            nbytes = len(entry.entity_iri.encode("utf-8"))
-            self.rows.append((entry.time_ms, entry.user_id, entry.cell_id, descriptor, nbytes))
+            self.nbytes.append(len(entry.entity_iri.encode("utf-8")))
 
     @functools.cached_property
     def overhead(self) -> dict:
@@ -187,16 +186,18 @@ class _PreparedTrace(list):
         counted on first use.  Per request that is the full wire size of its
         hop-by-hop header, which depends only on its IRI's UTF-8 byte length:
         each distinct length is sized once, with no header built."""
-        rows, sizes = self.rows, self.kb.sizes
-        lengths = Counter(map(itemgetter(4), rows))
-        total = sum(_header_size(nbytes) * n for nbytes, n in lengths.items())
-        content = sum(sizes[descriptor.entity_iri] for _, _, _, descriptor, _ in rows)
-        n_users = len(set(map(itemgetter(1), rows)))
+        sizes = self.kb.sizes
+        total = sum(_header_size(nbytes) * n for nbytes, n in Counter(self.nbytes).items())
+        content = sum(sizes[entry.entity_iri] for entry in self)
+        n_users = len({entry.user_id for entry in self})
         return {
             "total_bytes": total,
             "per_user_bytes": total / n_users if n_users else 0.0,
             "ratio_of_total_traffic": total / content if content else 0.0,
         }
+
+
+_NO_OVERHEAD = {"total_bytes": 0, "per_user_bytes": 0.0, "ratio_of_total_traffic": 0.0}
 
 
 class _Channel:
@@ -328,6 +329,8 @@ class _Simulation:
         if not (isinstance(trace, _PreparedTrace) and trace.kb is kb and trace.cells == t.cells):
             trace = _PreparedTrace(trace, kb, t.cells)
         self.trace = trace
+        # Headers are sized before the run, so an IRI too long for one fails first.
+        self.overhead = trace.overhead if self.semantic else _NO_OVERHEAD
         self.records: list[RequestRecord] = []
         self.origin_bytes = 0  # content bytes fetched from the origin
 
@@ -342,18 +345,18 @@ class _Simulation:
         later one in order of arrival at the node before it.  A stable sort
         keeps the previous level's order on ties, as hop-by-hop claims
         would.  ``_Channel.transfer``'s law is written out."""
-        rows = self.trace.rows
+        trace = self.trace
         self.records = [
-            RequestRecord(idx, user, cell, descriptor, t)
-            for idx, (t, user, cell, descriptor, _) in enumerate(rows)
+            RequestRecord(idx, entry.user_id, entry.cell_id, descriptor, entry.time_ms)
+            for idx, entry, descriptor in zip(itertools.count(), trace, trace.descriptors)
         ]
         ups = [route.access_up for route in self.routes]
         # Lists of floats and ints, not a tuple per request and level: tuples
         # that live across levels set off the garbage collector.
-        paths = [ups[cell] for _, _, cell, _, _ in rows]
-        sizes = [nbytes for _, _, _, _, nbytes in rows]
-        times = [t for t, _, _, _, _ in rows]  # each request's time at the node it reached
-        order = range(len(rows))
+        paths = [ups[entry.cell_id] for entry in trace]
+        sizes = trace.nbytes  # never changed
+        times = [entry.time_ms for entry in trace]  # each request's time at the node it reached
+        order = range(len(trace))
         for level in range(len(ups[0])):
             for i in order:
                 channel = paths[i][level]
@@ -452,13 +455,10 @@ class _Simulation:
         prefetched_hit = sum(s.prefetched_bytes_hit for s in stats)
         useless = prefetched - prefetched_hit
 
-        latencies = [r.completed_at - r.issued_at for r in self.records]
-        mean_latency = sum(latencies) / len(latencies) if latencies else 0.0
-
-        if self.mode is Mode.SEMANTIC:
-            overhead = self.trace.overhead
-        else:
-            overhead = {"total_bytes": 0, "per_user_bytes": 0.0, "ratio_of_total_traffic": 0.0}
+        total = 0.0  # left to right, as ``sum`` compensates from Python 3.12 on
+        for r in self.records:
+            total += r.completed_at - r.issued_at
+        mean_latency = total / len(self.records) if self.records else 0.0
 
         scenario = self.topology.scenario_dict()
         scenario["seed"] = seed
@@ -478,9 +478,9 @@ class _Simulation:
             useless_prefetch_origin_ratio=(
                 useless / self.origin_bytes if self.origin_bytes else 0.0
             ),
-            metadata_overhead_bytes=overhead["total_bytes"],
-            per_user_metadata_bytes=overhead["per_user_bytes"],
-            metadata_traffic_ratio=overhead["ratio_of_total_traffic"],
+            metadata_overhead_bytes=self.overhead["total_bytes"],
+            per_user_metadata_bytes=self.overhead["per_user_bytes"],
+            metadata_traffic_ratio=self.overhead["ratio_of_total_traffic"],
             scenario=scenario,
         )
 

@@ -19,6 +19,7 @@ from semcache.sim import (
     CacheLocation,
     LinkSpec,
     Mode,
+    RequestRecord,
     ServedFrom,
     SimulationError,
     Topology,
@@ -309,13 +310,13 @@ class TestAccessArrivalsMatchHopByHop:
         hop_by_hop = self._sim(links, cells, location, steps)
         arrived = []
         loop = hop_by_hop.loop
+        trace = hop_by_hop.trace
 
         def send(t, i):
-            _, _, cell, _, nbytes = hop_by_hop.trace.rows[i]
-            path = hop_by_hop.routes[cell].access_up
-            loop.send(path, t, nbytes, lambda t, i: arrived.append((t.hex(), i)), i)
+            path = hop_by_hop.routes[trace[i].cell_id].access_up
+            loop.send(path, t, trace.nbytes[i], lambda t, i: arrived.append((t.hex(), i)), i)
 
-        loop.run((row[0], send, i) for i, row in enumerate(hop_by_hop.trace.rows))
+        loop.run((entry.time_ms, send, i) for i, entry in enumerate(trace))
         assert claimed == arrived
 
         def access_channels(sim):
@@ -1069,6 +1070,15 @@ class TestDeterminism:
             (x.completed_at, x.served_from) for x in rec2
         ]
 
+    def test_mean_latency_sums_left_to_right(self):
+        # Ten 0.1 ms latencies: a left-to-right sum gives 0.9999999999999999,
+        # a compensated one (``sum`` from Python 3.12 on) 1.0.
+        trace = [TraceEntry(0.0, 0, 0, "wiki/Alice")]
+        sim = _Simulation(topo(), pair_kb(), trace, Mode.TRADITIONAL)
+        descriptor = sim.trace.descriptors[0]
+        sim.records = [RequestRecord(i, 0, 0, descriptor, 0.0, 0.1) for i in range(10)]
+        assert sim.report(0).mean_latency_ms == 0.09999999999999999
+
 
 class TestNoReferenceCycle:
     def test_records_die_with_the_report(self):
@@ -1149,7 +1159,11 @@ class TestMetadataOverhead:
         assert len(iri.encode("utf-8")) == 2028
         kb = load_knowledge_base(io.StringIO(f'"{iri}" type Person\n"{iri}" size 500\n'))
         trace = [TraceEntry(0.0, 0, 0, iri)]
-        with pytest.raises(MetadataTooLarge, match="^serialized descriptor is 2031 bytes"):
+        # Refused before the run: the event loop never starts.
+        ran = AssertionError("the event loop ran")
+        with mock.patch.object(_EventLoop, "run", side_effect=ran), pytest.raises(
+            MetadataTooLarge, match="^serialized descriptor is 2031 bytes"
+        ):
             run_simulation(topo(), kb, trace, Mode.SEMANTIC)
         report, _ = run_simulation(topo(), kb, trace, Mode.TRADITIONAL)
         assert report.metadata_overhead_bytes == 0
