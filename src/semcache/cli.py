@@ -124,7 +124,11 @@ SETTINGS: dict[str, _Key] = {
     "cells": _Key(_int, f"number of eNodeB cells (default: {Topology.cells})"),
     "eviction": _Key(_lower, f"eviction policy (default: {Topology.eviction})"),
     "seed": _Key(_int, "RNG seed (default: SEMCACHE_SEED or 0)"),
-    "max_prefetch": _Key(_int, "cap prefetches per request (default: unlimited)"),
+    "max_prefetch": _Key(
+        _int,
+        "prefetch from the first N predictions per request, in IRI order, cached or "
+        "pending ones included (default: unlimited)",
+    ),
     "n_users": _Key(_int, "users in the synthetic workload (default: 20)"),
     "p_follow": _Key(_float, f"follow probability (default: {SyntheticSpec.p_follow})"),
     "gap_ms": _Key(_gap),

@@ -9,24 +9,19 @@ between the UE and the cache and those between the cache and the origin.
 Each link direction is a FIFO channel: a transfer occupies the channel for
 ``bytes / bandwidth`` ms and arrives ``propagation_delay`` ms after its
 transmission ends, so concurrent transfers queue behind each other but the
-two directions never interfere.  The links from the UE to the cache node
-carry only requests, so ``schedule_trace`` claims them all before the run,
-level by level, each in order of arrival at the node before it (trace order
-at the first link).  A fetch claims the first channel of its path when it
-is sent and each later one when the heap event of its arrival at that hop
-pops.  Equal-time events run in the order their previous hop was claimed,
-so requests that reach a cache node at T, their links claimed before the
-run, run before any other event at T.  They are merged into the heap's
-events as the clock reaches them, so the heap holds only fetches in
-flight.  A delivery claims all its links when it leaves the cache node,
-with no heap event (see ``_deliver``).
+two directions never interfere.  ``_claim`` defines that law.
 
-``_Channel.transfer`` is the one definition of a channel claim.  The two
-places that claim a channel per request, ``_Simulation.schedule_trace``'s
-access claim and ``_Simulation._deliver``'s delivery chain, write it out
-with the same expression in the same order, so their floats are the same;
-``tests/test_sim.py`` pins them to ``transfer`` and to hop-by-hop claims
-(``TestAccessArrivalsMatchHopByHop``, ``TestWrittenOutTransfer``).
+A message claims a run of links at once wherever each link is fed only by
+the link before it, whose FIFO order it sees, so it gets the claims and
+times it would get hop by hop.  Heap events are left only where flows
+merge and where fetches land.  The S-GW uplink merges the cells' fetches
+from eNodeB caches, so such a fetch claims its link to the S-GW when it is
+launched and the rest of its round trip in an event at the S-GW; a fetch
+from an S-GW or P-GW cache claims its round trip when launched.  A fetch
+lands at its cache node in an event.  A delivery claims its links when it
+leaves the cache node, and ``schedule_trace`` claims the requests' links
+up to it before the run.  Equal-time events run in the order they were
+pushed, after the requests that reach a cache node at that time.
 
 A trace is checked and described once per (trace, KB, cell count): its
 order, each entry's descriptor, its cell range and each request's size are
@@ -117,7 +112,9 @@ class Topology:
     cache_location: CacheLocation = CacheLocation.ENODEB
     cache_capacity: int = 20_000_000
     eviction: str = "lru"
-    max_prefetch: Optional[int] = None  # prefetches per request; None: all
+    # Prefetch from the first N predictions per request, in IRI order, cached
+    # or pending ones included; None: all.
+    max_prefetch: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.cells <= 0:
@@ -210,22 +207,24 @@ class _Channel:
         self.bandwidth = spec.bandwidth_bytes_per_ms
         self.busy_until = 0.0
 
-    def transfer(self, at: float, nbytes: float) -> float:
-        """Claim the channel at ``at``; return the arrival time.
 
-        ``_Simulation.schedule_trace`` and ``_Simulation._deliver`` write
-        this law out, as a call costs more; ``tests/test_sim.py`` checks
-        that they stay the same."""
-        busy = self.busy_until  # ``max(at, busy)`` is written out below: a call costs more
-        busy = self.busy_until = (busy if busy > at else at) + nbytes / self.bandwidth
-        return busy + self.delay
+_Path = tuple[_Channel, ...]
+
+
+def _claim(path: _Path, t: float, nbytes: float) -> float:
+    """Send ``nbytes`` over ``path`` from ``t``, claiming each channel in turn
+    when the message reaches it; return its arrival at the end of ``path``."""
+    for channel in path:
+        busy = channel.busy_until  # ``max(t, busy)`` is written out: a call costs more
+        busy = channel.busy_until = (busy if busy > t else t) + nbytes / channel.bandwidth
+        t = busy + channel.delay
+    return t
 
 
 # Links between the UE and the cache node, by cache location.
 _CACHE_DEPTH = {CacheLocation.ENODEB: 1, CacheLocation.SGW: 2, CacheLocation.PGW: 3}
 
 
-_Path = tuple[_Channel, ...]
 _Then = Callable[[float, Any], None]  # called as then(arrival time, arg)
 _Waiters = list[RequestRecord]
 # (t, then, arg): a request reaching its cache node at ``t``, whose access
@@ -242,6 +241,7 @@ class _CellRoutes:
     pending: dict[str, _Waiters]
     access_up: _Path
     access_down: _Path
+    to_sgw: _Path  # a fetch's links below the S-GW: none unless the cache is at the eNodeB
     origin_up: _Path
     origin_down: _Path
 
@@ -252,27 +252,21 @@ _Fetch = tuple[_CellRoutes, str, ContentOrigin, _Waiters]
 
 
 class _EventLoop:
-    """One heap of message hops.  An event ``(t, seq, channels, index, nbytes,
-    then, arg)`` has crossed ``channels[:index]`` by ``t``; popping it claims
-    the next channel, or after the last one calls ``then(t, arg)``."""
+    """One heap of events ``(t, seq, then, arg)``: popping one calls
+    ``then(t, arg)``, and equal-time events pop in the order they were put."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple] = []
-        self._seq = itertools.count()  # shared by ``send`` and ``run``
+        self._heap: list[tuple[float, int, _Then, Any]] = []
+        self._seq = itertools.count()
 
-    def send(self, channels: _Path, t: float, nbytes: float, then: _Then, arg: Any) -> None:
-        """Send a new message: claim ``channels[0]`` at ``t`` at once, so that
-        equal-time sends keep their order."""
-        arrive = channels[0].transfer(t, nbytes)
-        event = (arrive, next(self._seq), channels, 1, nbytes, then, arg)
-        heapq.heappush(self._heap, event)
+    def at(self, t: float, then: _Then, arg: Any) -> None:
+        heapq.heappush(self._heap, (t, next(self._seq), then, arg))
 
     def run(self, arrivals: Iterable[_Arrival] = ()) -> None:
         """Run until the heap is empty, merging in the time-ordered ``arrivals``:
         each calls ``then(t, arg)`` when its time is at most that of the
         heap's next event, and claims no channel."""
-        heap, seq = self._heap, self._seq
-        pop, push = heapq.heappop, heapq.heappush
+        heap, pop = self._heap, heapq.heappop
         pending = iter(arrivals)
         arrival = next(pending, None)
         while heap or arrival:
@@ -280,11 +274,7 @@ class _EventLoop:
                 time, then, arg = arrival
                 arrival = next(pending, None)
             else:
-                time, _, channels, index, nbytes, then, arg = pop(heap)
-                if index < len(channels):
-                    arrive = channels[index].transfer(time, nbytes)
-                    push(heap, (arrive, next(seq), channels, index + 1, nbytes, then, arg))
-                    continue
+                time, _, then, arg = pop(heap)
             then(time, arg)
 
 
@@ -303,6 +293,7 @@ class _Simulation:
         t = topology
         per_cell = t.cache_location is CacheLocation.ENODEB
         depth = _CACHE_DEPTH[t.cache_location]
+        sgw = _CACHE_DEPTH[CacheLocation.SGW]  # links up to the S-GW, where cells merge
         shared_up = (_Channel(t.sgw_pgw), _Channel(t.pgw_inet))
         shared_down = (_Channel(t.sgw_pgw), _Channel(t.pgw_inet))
         n_caches = t.cells if per_cell else 1
@@ -320,7 +311,8 @@ class _Simulation:
                     pending=pending[node],
                     access_up=up[:depth],
                     access_down=down[:depth][::-1],
-                    origin_up=up[depth:],
+                    to_sgw=up[depth:sgw],
+                    origin_up=up[max(depth, sgw):],
                     origin_down=down[depth:][::-1],
                 )
             )
@@ -344,7 +336,8 @@ class _Simulation:
         run, one level at a time: the first link in trace order and each
         later one in order of arrival at the node before it.  A stable sort
         keeps the previous level's order on ties, as hop-by-hop claims
-        would.  ``_Channel.transfer``'s law is written out."""
+        would.  ``_claim``'s law is written out: a call per request and
+        level costs more."""
         trace = self.trace
         self.records = [
             RequestRecord(idx, entry.user_id, entry.cell_id, descriptor, entry.time_ms)
@@ -388,13 +381,19 @@ class _Simulation:
     ) -> None:
         """Fetch ``key`` from the origin to the route's cache node for ``waiters``."""
         fetch = (route, key, origin, waiters)
-        self.loop.send(route.origin_up, t, len(key.encode("utf-8")), self._at_origin, fetch)
+        if route.to_sgw:  # the S-GW uplink merges the cells: claim it in heap order
+            self.loop.at(_claim(route.to_sgw, t, len(key.encode("utf-8"))), self._at_sgw, fetch)
+        else:
+            self._at_sgw(t, fetch)
 
-    def _at_origin(self, t: float, fetch: _Fetch) -> None:
+    def _at_sgw(self, t: float, fetch: _Fetch) -> None:
+        """``fetch`` is at the S-GW or a cache node above it: claim its way to
+        the origin and back, where no flows merge, and land it."""
         route, key, _, _ = fetch
         size = self.sizes[key]
         self.origin_bytes += size
-        self.loop.send(route.origin_down, t, size, self._fetched, fetch)
+        t = _claim(route.origin_up, t, len(key.encode("utf-8")))
+        self.loop.at(_claim(route.origin_down, t, size), self._fetched, fetch)
 
     def _fetched(self, t: float, fetch: _Fetch) -> None:
         """A fetch reached the cache node: cache it and deliver it to its waiters."""
@@ -419,18 +418,11 @@ class _Simulation:
         """Send ``size`` bytes from the cache node at ``t`` and stamp ``record``
         with their arrival at the UE.
 
-        All the links are claimed now, with no heap event.  That gives the
-        hop-by-hop times: cells share only the links above the S-GW, which
-        can only be first on an ``access_down`` path, so each link after the
-        first is fed only by the link before it and sees the same claims in
-        the same order at the same times.  ``_Channel.transfer``'s law is
-        written out."""
+        All the links are claimed now: cells share only the links above the
+        S-GW, which can only be first on an ``access_down`` path, so each
+        link after the first is fed only by the link before it."""
         record.served_from = served_from
-        for channel in self.routes[record.cell_id].access_down:
-            busy = channel.busy_until
-            busy = channel.busy_until = (busy if busy > t else t) + size / channel.bandwidth
-            t = busy + channel.delay
-        record.completed_at = t
+        record.completed_at = _claim(self.routes[record.cell_id].access_down, t, size)
 
     # -- prefetch path ------------------------------------------------------
 

@@ -25,11 +25,14 @@ from semcache.sim import (
     Topology,
     UnsortedTrace,
     _Channel,
+    _claim,
     _EventLoop,
     _Simulation,
     run_simulation,
 )
 from semcache.workload import TraceEntry
+
+from hop_by_hop import HopByHop, run_hop_by_hop
 
 PAIR_KB = """\
 "wiki/Alice" spouse "wiki/Bob"
@@ -50,69 +53,71 @@ def topo(location=CacheLocation.ENODEB, capacity=10_000_000, cells=1):
 
 class TestTransferTime:
     def test_zero_payload(self):
-        assert _Channel(LinkSpec(10.0, 1000.0)).transfer(0.0, 0) == 10.0
+        assert _claim((_Channel(LinkSpec(10.0, 1000.0)),), 0.0, 0) == 10.0
 
     def test_payload_adds_serialization_delay(self):
-        assert _Channel(LinkSpec(10.0, 1000.0)).transfer(0.0, 5000) == 15.0
+        assert _claim((_Channel(LinkSpec(10.0, 1000.0)),), 0.0, 5000) == 15.0
 
     def test_fifo_serialization(self):
         # Two back-to-back 5000 B transfers: arrivals at 15 ms and 20 ms.
-        ch = _Channel(LinkSpec(10.0, 1000.0))
-        assert ch.transfer(0.0, 5000) == 15.0
-        assert ch.transfer(0.0, 5000) == 20.0
+        path = (_Channel(LinkSpec(10.0, 1000.0)),)
+        assert _claim(path, 0.0, 5000) == 15.0
+        assert _claim(path, 0.0, 5000) == 20.0
 
 
 class TestEventLoop:
     @pytest.mark.parametrize("k", [1, 3])
     def test_arrival_is_chained_transfer(self, k):
+        """A message claimed over ``k`` links at once arrives when link-by-link
+        claims have it arrive, and its event runs then."""
         specs = [LinkSpec(1.0 + i, 500.0 * (i + 1)) for i in range(k)]
         expected = 3.0
         for spec in specs:
-            expected = _Channel(spec).transfer(expected, 1200)
+            expected = _claim((_Channel(spec),), expected, 1200)
         arrivals = []
         loop = _EventLoop()
-        channels = tuple(_Channel(spec) for spec in specs)
-        loop.send(channels, 3.0, 1200, lambda t, arg: arrivals.append((t, arg)), "m")
+        path = tuple(_Channel(spec) for spec in specs)
+        loop.at(_claim(path, 3.0, 1200), lambda t, arg: arrivals.append((t, arg)), "m")
         loop.run()
         assert arrivals == [(expected, "m")]
 
     def test_equal_time_sends_arrive_in_send_order(self):
         # Empty messages cross without queueing, so both arrive at 5 ms.
-        channels = (_Channel(LinkSpec(2.0, 1000.0)), _Channel(LinkSpec(3.0, 1000.0)))
+        path = (_Channel(LinkSpec(2.0, 1000.0)), _Channel(LinkSpec(3.0, 1000.0)))
         arrivals = []
         loop = _EventLoop()
         for name in ("first", "second"):
-            loop.send(channels, 0.0, 0, lambda t, arg: arrivals.append((t, arg)), name)
+            loop.at(_claim(path, 0.0, 0), lambda t, arg: arrivals.append((t, arg)), name)
         loop.run()
         assert arrivals == [(5.0, "first"), (5.0, "second")]
 
     def test_equal_time_events_run_in_push_order(self):
-        # Empty messages sent at 0 over links of these delays pop at 8 and 7 ms.
         ran = []
         loop = _EventLoop()
         for time, name in [(8.0, "late"), (7.0, "a"), (7.0, "b"), (7.0, "c")]:
-            channels = (_Channel(LinkSpec(time, 1000.0)),)
-            loop.send(channels, 0.0, 0, lambda t, arg: ran.append(arg), name)
+            loop.at(time, lambda t, arg: ran.append(arg), name)
         loop.run()
         assert ran == ["a", "b", "c", "late"]
 
     # One 1000 B message takes 1 ms on this channel, so the order in which
     # two messages claim it shows in their arrival times.
-    def _contend(self, arrival_time):
+    @staticmethod
+    def _claimant(arrivals):
         channel = _Channel(LinkSpec(0.0, 1000.0))
+
+        def claim(t, arg):
+            arrivals.append((_claim((channel,), t, 1000), arg))
+
+        return claim
+
+    def _contend(self, arrival_time):
         arrivals = []
-
-        def then(t, arg):
-            arrivals.append((t, arg))
-
-        def send_over_channel(t, arg):
-            loop.send((channel,), t, 1000, then, arg)
-
+        claim = self._claimant(arrivals)
         loop = _EventLoop()
-        # Sent at 0 over a 1 ms + 4 ms link, this message reaches the
-        # contended channel in a heap event at 5 ms.
-        loop.send((_Channel(LinkSpec(4.0, 1000.0)), channel), 0.0, 1000, then, "heap")
-        loop.run([(arrival_time, send_over_channel, "arrival")])
+        # A heap event at 5 ms claims the contended channel, as a fetch at
+        # the S-GW claims its uplink.
+        loop.at(5.0, claim, "heap")
+        loop.run([(arrival_time, claim, "arrival")])
         return arrivals
 
     def test_arrival_runs_before_equal_time_heap_event(self):
@@ -123,24 +128,17 @@ class TestEventLoop:
 
     @pytest.mark.parametrize("hop_first", [True, False])
     def test_loop_hop_and_handler_send_claim_in_pop_order(self, hop_first):
-        """At 5 ms the loop pops a message due to claim the contended channel
-        for its second hop, and a message whose handler sends over that
-        channel.  Whichever of the two was sent first claims it first."""
-        channel = _Channel(LinkSpec(0.0, 1000.0))
+        """At 5 ms the loop pops the event of a message's hop to the contended
+        channel, and an event whose handler sends over that channel.
+        Whichever of the two was pushed first claims it first."""
         arrivals = []
-
-        def then(t, arg):
-            arrivals.append((t, arg))
-
-        def send_over_channel(t, arg):
-            loop.send((channel,), t, 1000, then, "sent")
-
+        claim = self._claimant(arrivals)
         loop = _EventLoop()
         # 1 ms + 4 ms to reach the channel, and an empty message over 5 ms.
-        hop = ((_Channel(LinkSpec(4.0, 1000.0)), channel), 0.0, 1000, then, "hop")
-        trigger = ((_Channel(LinkSpec(5.0, 1000.0)),), 0.0, 0, send_over_channel, None)
-        for message in (hop, trigger) if hop_first else (trigger, hop):
-            loop.send(*message)
+        hop = (_claim((_Channel(LinkSpec(4.0, 1000.0)),), 0.0, 1000), claim, "hop")
+        trigger = (_claim((_Channel(LinkSpec(5.0, 1000.0)),), 0.0, 0), claim, "sent")
+        for event in (hop, trigger) if hop_first else (trigger, hop):
+            loop.at(*event)
         loop.run()
         first, second = ("hop", "sent") if hop_first else ("sent", "hop")
         assert arrivals == [(6.0, first), (7.0, second)]
@@ -148,14 +146,14 @@ class TestEventLoop:
     @pytest.mark.parametrize("k", [1, 3])
     def test_delivery_completes_at_last_link(self, k):
         """``_Simulation._deliver`` in each of ``k`` cells, at every cache
-        location: the record completes at the chained transfer over the links
+        location: the record completes at the chained claims over the links
         from the cache node down to the UE, and the loop's heap stays empty."""
         specs = [LinkSpec(1.0 + i, 500.0 * (i + 1)) for i in range(4)]
         depths = {CacheLocation.ENODEB: 1, CacheLocation.SGW: 2, CacheLocation.PGW: 3}
         for location, depth in depths.items():
             expected = 3.0
             for spec in specs[:depth][::-1]:
-                expected = _Channel(spec).transfer(expected, 1200)
+                expected = _claim((_Channel(spec),), expected, 1200)
             topology = Topology(k, *specs, cache_location=location)
             for cell in range(k):
                 sim = _Simulation(topology, pair_kb(), [], Mode.TRADITIONAL)
@@ -170,90 +168,6 @@ _LINK = st.builds(
     st.floats(0.0, 50.0, allow_nan=False),
     st.floats(1e-3, 1e6, allow_nan=False),
 )
-_TIME = st.floats(0.0, 1e4, allow_nan=False)
-_NBYTES = st.integers(0, 200_000)
-
-
-class TestWrittenOutTransfer:
-    """``_EventLoop.run``'s hop claims, against which
-    ``TestAccessArrivalsMatchHopByHop`` checks ``schedule_trace``'s access
-    claims, and ``_Simulation._deliver``'s delivery chain, which writes out
-    ``_Channel.transfer``'s law: every arrival time and every ``busy_until``
-    they leave is the same float as a chain of ``transfer`` calls on fresh
-    channels gives."""
-
-    @staticmethod
-    def _twins(channels):
-        """A fresh channel per channel, with the same spec and ``busy_until``."""
-        twins = {}
-        for channel in channels:
-            twin = _Channel(LinkSpec(channel.delay, channel.bandwidth))
-            twin.busy_until = channel.busy_until
-            twins[channel] = twin
-        return twins
-
-    @given(
-        links=st.lists(st.tuples(_LINK, _TIME), min_size=1, max_size=3),
-        messages=st.lists(st.tuples(_TIME, _NBYTES), min_size=1, max_size=8),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_event_loop_hops(self, links, messages):
-        channels = []
-        for spec, busy_until in links:
-            channel = _Channel(spec)
-            channel.busy_until = busy_until
-            channels.append(channel)
-        path = tuple(channels)
-        twins = self._twins(path)
-        messages = sorted(messages, key=lambda m: m[0])
-
-        # One path: every channel sees the messages in send order.
-        expected = [t for t, _ in messages]
-        for channel in path:
-            for i, (_, nbytes) in enumerate(messages):
-                expected[i] = twins[channel].transfer(expected[i], nbytes)
-
-        arrived = []
-        loop = _EventLoop()
-
-        def send(t, i):
-            loop.send(path, t, messages[i][1], lambda t, i: arrived.append((t.hex(), i)), i)
-
-        loop.run((t, send, i) for i, (t, _) in enumerate(messages))
-        assert arrived == [(t.hex(), i) for i, t in enumerate(expected)]
-        for channel in path:
-            assert channel.busy_until.hex() == twins[channel].busy_until.hex()
-
-    @given(
-        links=st.lists(_LINK, min_size=4, max_size=4),
-        cells=st.integers(1, 3),
-        location=st.sampled_from(CacheLocation),
-        # At most 7 delivery channels: two per cell and the shared S-GW-P-GW one.
-        busy_untils=st.lists(_TIME, min_size=7, max_size=7),
-        deliveries=st.lists(st.tuples(st.integers(0, 2), _TIME, _NBYTES), min_size=1, max_size=8),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_deliveries(self, links, cells, location, busy_untils, deliveries):
-        topology = Topology(cells, *links, cache_location=location)
-        sim = _Simulation(topology, pair_kb(), [], Mode.TRADITIONAL)
-        channels = list(dict.fromkeys(c for route in sim.routes for c in route.access_down))
-        for channel, busy_until in zip(channels, busy_untils):
-            channel.busy_until = busy_until
-        twins = self._twins(channels)
-
-        for cell, t, size in deliveries:
-            cell %= cells
-            expected = t
-            for channel in sim.routes[cell].access_down:
-                expected = twins[channel].transfer(expected, size)
-            record = types.SimpleNamespace(cell_id=cell, completed_at=0.0)
-            sim._deliver(record, t, size, ServedFrom.CACHE)
-            assert record.completed_at.hex() == expected.hex()
-        for channel in channels:
-            assert channel.busy_until.hex() == twins[channel].busy_until.hex()
-        assert sim.loop._heap == []
-
-
 # Delays and bandwidths whose sums and quotients tie often.
 _TIE_LINK = st.builds(
     LinkSpec,
@@ -266,11 +180,11 @@ _IRIS = ("a", "bb", "cccc")
 class TestAccessArrivalsMatchHopByHop:
     """``schedule_trace`` claims every access link before the run; its
     arrivals at the cache node, their order and every access channel's
-    ``busy_until`` are those of the same requests sent hop by hop through
-    ``_EventLoop`` as they are issued."""
+    ``busy_until`` are those of the same requests sent hop by hop by
+    ``HopByHop.send`` as they are issued."""
 
     @staticmethod
-    def _sim(links, cells, location, steps):
+    def _sim(simulation, links, cells, location, steps):
         kb = load_knowledge_base(
             io.StringIO("".join(f'"{iri}" type Person\n"{iri}" size 10\n' for iri in _IRIS))
         )
@@ -279,7 +193,7 @@ class TestAccessArrivalsMatchHopByHop:
             time += gap
             trace.append(TraceEntry(time, 0, cell % cells, iri))
         topology = Topology(cells, *links, cache_location=location)
-        return _Simulation(topology, kb, trace, Mode.TRADITIONAL)
+        return simulation(topology, kb, trace, Mode.TRADITIONAL)
 
     @given(
         links=st.lists(_TIE_LINK, min_size=4, max_size=4),
@@ -304,19 +218,18 @@ class TestAccessArrivalsMatchHopByHop:
     )
     @settings(max_examples=300, deadline=None)
     def test_same_arrivals_and_channels(self, links, cells, location, steps):
-        sim = self._sim(links, cells, location, steps)
+        sim = self._sim(_Simulation, links, cells, location, steps)
         claimed = [(t.hex(), record.request_id) for t, _, record in sim.schedule_trace()]
 
-        hop_by_hop = self._sim(links, cells, location, steps)
+        hop_by_hop = self._sim(HopByHop, links, cells, location, steps)
         arrived = []
-        loop = hop_by_hop.loop
         trace = hop_by_hop.trace
 
         def send(t, i):
             path = hop_by_hop.routes[trace[i].cell_id].access_up
-            loop.send(path, t, trace.nbytes[i], lambda t, i: arrived.append((t.hex(), i)), i)
+            hop_by_hop.send(path, t, trace.nbytes[i], lambda t, i: arrived.append((t.hex(), i)), i)
 
-        loop.run((entry.time_ms, send, i) for i, entry in enumerate(trace))
+        hop_by_hop.loop.run((entry.time_ms, send, i) for i, entry in enumerate(trace))
         assert claimed == arrived
 
         def access_channels(sim):
@@ -327,12 +240,12 @@ class TestAccessArrivalsMatchHopByHop:
 
 
 class TestHeapEvents:
-    """Each link a fetch crosses costs one heap push and one pop.  A request
-    claims its links up to the cache node before the run, and a delivery
-    claims its links at once when it leaves the cache node, so neither costs
-    a heap event.  A miss's fetch crosses the 2 x (4 - depth) links from a
-    cache node of depth 1, 2 or 3 to the origin and back: 6/4/2 events.  A
-    hit takes none."""
+    """A request claims its links up to the cache node before the run, and
+    a delivery claims its links at once when it leaves the cache node, so
+    neither costs a heap event.  A miss's fetch costs one event where it
+    lands, and from an eNodeB cache one more where it reaches the S-GW,
+    whose uplink merges the cells' fetches: 2/1/1 events.  A hit takes
+    none."""
 
     @pytest.fixture
     def count(self, monkeypatch):
@@ -352,7 +265,7 @@ class TestHeapEvents:
 
     @pytest.mark.parametrize(
         "location, miss_events",
-        [(CacheLocation.ENODEB, 6), (CacheLocation.SGW, 4), (CacheLocation.PGW, 2)],
+        [(CacheLocation.ENODEB, 2), (CacheLocation.SGW, 1), (CacheLocation.PGW, 1)],
     )
     def test_events_per_request(self, count, location, miss_events):
         kb = load_knowledge_base(io.StringIO('"wiki/Alice" type Person\n"wiki/Alice" size 500\n'))
@@ -367,35 +280,55 @@ class TestHeapEvents:
 
 
 class TestDeliveryLinks:
-    """A delivery may claim all its links at once because every delivery link
-    after the first is fed only by the link before it, in that link's FIFO
-    order."""
+    """A message may claim a run of links at once where each link after the
+    first is fed only by the link before it, in that link's FIFO order: a
+    delivery all its links, and a fetch its links from the S-GW (or its
+    cache node above it) to the origin and back."""
+
+    @staticmethod
+    def _feeders(sim):
+        """Each channel's feeders, and the channels that are first on a path
+        (fed by a cache node).  A fetch's path runs up to the origin and
+        back down."""
+        feeders, firsts = {}, set()
+        for route in sim.routes:
+            fetch = route.to_sgw + route.origin_up + route.origin_down
+            for path in (route.access_up, route.access_down, fetch):
+                firsts.add(path[0])
+                for before, channel in zip(path, path[1:]):
+                    feeders.setdefault(channel, set()).add(before)
+        return feeders, firsts
 
     @pytest.mark.parametrize("cells", [1, 3])
     @pytest.mark.parametrize("location", list(CacheLocation))
     def test_later_delivery_links_have_one_feeder(self, location, cells):
         sim = _Simulation(topo(location, cells=cells), pair_kb(), [], Mode.TRADITIONAL)
-        feeders, firsts = {}, set()
-        for route in sim.routes:
-            for path in (route.access_up, route.access_down, route.origin_up, route.origin_down):
-                firsts.add(path[0])
-                for before, channel in zip(path, path[1:]):
-                    feeders.setdefault(channel, set()).add(before)
+        feeders, firsts = self._feeders(sim)
         for route in sim.routes:
             path = route.access_down
             for before, channel in zip(path, path[1:]):
                 assert feeders[channel] == {before}
                 assert channel not in firsts
 
-
-def _deliver_hop_by_hop(self, record, t, size, served_from):
-    """``_Simulation._deliver`` with one heap event per delivery link."""
-    record.served_from = served_from
-    self.loop.send(self.routes[record.cell_id].access_down, t, size, _stamp, record)
-
-
-def _stamp(t, record):
-    record.completed_at = t
+    @pytest.mark.parametrize("cells", [1, 3])
+    @pytest.mark.parametrize("location", list(CacheLocation))
+    def test_fetch_links_above_the_sgw_have_one_feeder(self, location, cells):
+        sim = _Simulation(topo(location, cells=cells), pair_kb(), [], Mode.TRADITIONAL)
+        feeders, firsts = self._feeders(sim)
+        for route in sim.routes:
+            path = route.origin_up + route.origin_down
+            for before, channel in zip(path, path[1:]):
+                assert feeders[channel] == {before}
+                assert channel not in firsts
+            # Only eNodeB caches have links below the S-GW; their uplink is
+            # where the cells' fetches merge.
+            assert bool(route.to_sgw) is (location is CacheLocation.ENODEB)
+            if route.to_sgw:
+                merged = {r.to_sgw[-1] for r in sim.routes}
+                assert feeders[route.origin_up[0]] == merged and len(merged) == cells
+        fetch = {c for r in sim.routes for c in r.to_sgw + r.origin_up + r.origin_down}
+        delivery = {c for r in sim.routes for c in r.access_down}
+        assert not fetch & delivery
 
 
 # (kind, size, related entity indices); sizes lie around the cache capacity.
@@ -408,62 +341,104 @@ _ENTITY = st.tuples(
 _STEP = st.tuples(st.sampled_from([0.0, 1.0, 100.0, 1000.0]), st.integers(0, 2), st.integers(0, 5))
 
 
-class TestDeliveriesMatchHopByHop:
-    """Claiming a delivery's links at once changes no simulated number."""
+def _kb_and_trace(entities, steps, cells):
+    """A KB of ``entities``, each ``(IRI, (kind, size, related))``, and a
+    trace of ``steps``, in which user and cell are the step's cell."""
+    lines = []
+    for iri, (kind, size, related) in entities:
+        predicate = "spouse" if kind == "Person" else "starring"
+        lines += [f'"{iri}" type {kind}', f'"{iri}" size {size}']
+        lines += [f'"{iri}" {predicate} "{entities[j % len(entities)][0]}"' for j in related]
+    kb = load_knowledge_base(io.StringIO("\n".join(lines) + "\n"))
+    trace, time = [], 0.0
+    for gap, cell, entity in steps:
+        time += gap
+        iri = entities[entity % len(entities)][0]
+        trace.append(TraceEntry(time, cell % cells, cell % cells, iri))
+    return kb, trace
+
+
+class TestRunsMatchHopByHop:
+    """Claiming runs of links at once changes no simulated number: every
+    run matches ``HopByHop``'s, which sends each fetch and delivery one link
+    per heap event."""
+
+    # The S-GW merge: the fetch for cccccccc leaves cell 0's eNodeB first,
+    # but its 8 bytes take 8 ms to reach the S-GW, so a's fetch from cell 1
+    # claims the S-GW uplink first.
+    SGW_MERGE = dict(
+        links=[LinkSpec(10.0, 1e6), LinkSpec(5.0, 1.0), LinkSpec(5.0, 1.0), LinkSpec(20.0, 1.0)],
+        entities=[("cccccccc", ("Person", 100, [])), ("a", ("Person", 100, []))],
+        steps=[(0.0, 0, 0), (0.5, 1, 1)],
+        cells=2,
+        location=CacheLocation.ENODEB,
+        mode=Mode.TRADITIONAL,
+        eviction="lru",
+        max_prefetch=None,
+    )
 
     @staticmethod
-    def _run(entities, steps, cells, location, mode, eviction):
-        lines = []
-        for i, (kind, size, related) in enumerate(entities):
-            predicate = "spouse" if kind == "Person" else "starring"
-            lines += [f'"e{i}" type {kind}', f'"e{i}" size {size}']
-            lines += [f'"e{i}" {predicate} "e{j % len(entities)}"' for j in related]
-        kb = load_knowledge_base(io.StringIO("\n".join(lines) + "\n"))
-        trace, time = [], 0.0
-        for gap, cell, entity in steps:
-            time += gap
-            trace.append(TraceEntry(time, cell % cells, cell % cells, f"e{entity % len(entities)}"))
-        topology = replace(topo(location, 100_000, cells), eviction=eviction)
-        report, records = run_simulation(topology, kb, trace, mode)
-        return repr(report), [(r.completed_at.hex(), r.served_from) for r in records]
+    def _run(run, links, entities, steps, cells, location, mode, eviction, max_prefetch):
+        kb, trace = _kb_and_trace(entities, steps, cells)
+        topology = Topology(
+            cells,
+            *links,
+            cache_location=location,
+            cache_capacity=100_000,
+            eviction=eviction,
+            max_prefetch=max_prefetch,
+        )
+        return run(topology, kb, trace, mode)
 
     @given(
-        entities=st.lists(_ENTITY, min_size=2, max_size=6),
+        links=st.lists(_TIE_LINK, min_size=4, max_size=4),
+        entities=st.lists(
+            st.tuples(st.text("abcdefgh", min_size=1, max_size=8), _ENTITY),
+            min_size=2,
+            max_size=6,
+            unique_by=lambda entity: entity[0],
+        ),
         steps=st.lists(_STEP, min_size=1, max_size=12),
         cells=st.integers(1, 3),
         location=st.sampled_from(CacheLocation),
         mode=st.sampled_from(Mode),
         eviction=st.sampled_from(["lru", "fifo"]),
+        max_prefetch=st.sampled_from([None, 0, 1]),
     )
+    @example(**SGW_MERGE)
     # Two equal-time P-GW hits from different cells share its first link.
     @example(
-        entities=[("Person", 50_000, []), ("Person", 20_000, [])],
+        links=[Topology.ue_enb, Topology.enb_sgw, Topology.sgw_pgw, Topology.pgw_inet],
+        entities=[("e0", ("Person", 50_000, [])), ("e1", ("Person", 20_000, []))],
         steps=[(0.0, 0, 0), (1000.0, 0, 0), (0.0, 1, 0)],
         cells=2,
         location=CacheLocation.PGW,
         mode=Mode.TRADITIONAL,
         eviction="lru",
+        max_prefetch=None,
     )
-    @settings(max_examples=200, deadline=None)
-    def test_same_report_and_records(self, entities, steps, cells, location, mode, eviction):
-        args = (entities, steps, cells, location, mode, eviction)
-        claimed_at_once = self._run(*args)
-        with mock.patch.object(_Simulation, "_deliver", _deliver_hop_by_hop):
-            assert self._run(*args) == claimed_at_once
+    @settings(max_examples=300, deadline=None)
+    def test_same_report_and_records(self, **scenario):
+        def outcome(run):
+            report, records = self._run(run, **scenario)
+            return repr(report), [(r.completed_at.hex(), r.served_from) for r in records]
+
+        assert outcome(run_simulation) == outcome(run_hop_by_hop)
+
+    def test_sgw_merge(self):
+        _, records = self._run(run_simulation, **self.SGW_MERGE)
+        assert [round(r.completed_at, 6) for r in records] == [483.500101, 383.500101]
 
 
 def _round_trip(topology, depth, t, record, kb):
     """When ``record``'s content would reach its UE on idle links, had its
     request been sent at ``t`` over the first ``depth`` links and answered
-    from there: ``_Channel.transfer`` chained over fresh channels.  Waiting
-    for a busy channel only delays a message, so no record beats this."""
+    from there: ``_claim`` over fresh channels.  Waiting for a busy channel
+    only delays a message, so no record beats this."""
     iri = record.descriptor.entity_iri
     links = [getattr(topology, name) for name in sim_module.LINKS][:depth]
-    for spec in links:
-        t = _Channel(spec).transfer(t, len(iri.encode("utf-8")))
-    for spec in reversed(links):
-        t = _Channel(spec).transfer(t, kb.sizes[iri])
-    return t
+    t = _claim(tuple(_Channel(spec) for spec in links), t, len(iri.encode("utf-8")))
+    return _claim(tuple(_Channel(spec) for spec in reversed(links)), t, kb.sizes[iri])
 
 
 def _beat_access_round_trip(topology, kb, records):
@@ -534,16 +509,7 @@ class TestModelLaws:
     )
     @settings(max_examples=200, deadline=None)
     def test_laws_hold(self, entities, steps, cells, location, eviction, links):
-        lines = []
-        for i, (kind, size, related) in enumerate(entities):
-            predicate = "spouse" if kind == "Person" else "starring"
-            lines += [f'"e{i}" type {kind}', f'"e{i}" size {size}']
-            lines += [f'"e{i}" {predicate} "e{j % len(entities)}"' for j in related]
-        kb = load_knowledge_base(io.StringIO("\n".join(lines) + "\n"))
-        trace, time = [], 0.0
-        for gap, cell, entity in steps:
-            time += gap
-            trace.append(TraceEntry(time, cell % cells, cell % cells, f"e{entity % len(entities)}"))
+        kb, trace = _kb_and_trace([(f"e{i}", e) for i, e in enumerate(entities)], steps, cells)
         topology = Topology(
             cells, *links, cache_location=location, cache_capacity=100_000, eviction=eviction
         )
@@ -733,6 +699,24 @@ class TestPrefetchScenario:
                  TraceEntry(500.0, 2, 0, "B")]
         report, _ = run_simulation(topo(), kb, trace, Mode.SEMANTIC)
         assert report.prefetched_bytes_hit <= report.prefetched_bytes
+
+
+class TestMaxPrefetch:
+    """The cap applies to the first ``max_prefetch`` predictions in IRI order,
+    cached or pending ones included: A's predictions are B, already cached,
+    then C, so a cap of 1 prefetches nothing and C misses."""
+
+    KB = '"A" spouse "B"\n"A" spouse "C"\n' + "".join(
+        f'"{iri}" type Person\n"{iri}" size 1000\n' for iri in "ABC"
+    )
+
+    @pytest.mark.parametrize("cap, prefetched, hits", [(1, 0, 0), (2, 1000, 1), (None, 1000, 1)])
+    def test_cap_counts_cached_predictions(self, cap, prefetched, hits):
+        kb = load_knowledge_base(io.StringIO(self.KB))
+        trace = [TraceEntry(t, 0, 0, iri) for t, iri in [(0.0, "B"), (5000.0, "A"), (10_000.0, "C")]]
+        topology = replace(topo(), max_prefetch=cap)
+        report, _ = run_simulation(topology, kb, trace, Mode.SEMANTIC)
+        assert (report.prefetched_bytes, report.hits) == (prefetched, hits)
 
 
 class TestConcurrencyInvariant:
