@@ -151,10 +151,8 @@ def _settings(args: argparse.Namespace) -> tuple[dict, Topology, SyntheticSpec]:
     present is range-checked, whatever the subcommand uses."""
     raw: dict = {}
     if args.scenario is not None:
-        if not os.path.exists(args.scenario):
-            raise ConfigError("scenario", f"file not found: {args.scenario}")
         try:
-            with open(args.scenario, encoding="utf-8") as fh:
+            with open(_path(vars(args), "scenario"), encoding="utf-8") as fh:
                 raw = yaml.safe_load(fh) or {}
         except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
             raise ConfigError("scenario", f"cannot read {args.scenario}: {exc}") from None

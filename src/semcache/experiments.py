@@ -15,7 +15,7 @@ from typing import Sequence, TextIO
 
 from semcache.kb import KnowledgeBase
 from semcache.metrics import MetricsReport
-from semcache.sim import CacheLocation, Mode, Topology, _PreparedTrace, run_simulation
+from semcache.sim import Mode, Topology, _PreparedTrace, run_simulation
 from semcache.workload import SyntheticSpec, generate_trace
 
 
@@ -57,18 +57,13 @@ class SweepSpec:
             raise TypeError(f"sweep variable must be a SweepVariable, got {self.variable!r}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
-        location = self.variable is SweepVariable.CACHE_LOCATION
-        kind, cls = ("a CacheLocation", CacheLocation) if location else ("an int", int)
         for value in self.values:
-            # Refused before any point runs, never truncated or converted, so
-            # a point runs the value it reports; the type that owns the value
-            # checks its range.
-            if not isinstance(value, cls) or isinstance(value, bool):
-                raise TypeError(f"{self.variable.value} sweep value must be {kind}, got {value!r}")
+            # Refused before any point runs, by the type that owns the field:
+            # a TypeError for a wrong type (never converted), a ValueError out of range.
             try:
                 _apply(self.scenario, self.variable, value)
-            except ValueError as exc:
-                raise ValueError(f"{self.variable.value} sweep value {value!r}: {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise type(exc)(f"{self.variable.value} sweep value {value!r}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ from semcache.cache import EVICTION_POLICIES, Cache, ContentOrigin
 from semcache.codec import MetadataDescriptor, _header_size, wire_size  # noqa: F401
 from semcache.kb import KnowledgeBase, infer_next
 from semcache.metrics import MetricsReport
-from semcache.workload import TraceEntry
+from semcache.workload import TraceEntry, _count
 
 
 class SimulationError(Exception):
@@ -117,14 +117,14 @@ class Topology:
     max_prefetch: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.cells <= 0:
-            raise ValueError("cells must be positive")
-        if self.cache_capacity <= 0:
-            raise ValueError("cache_capacity must be positive")
+        _count("cells", self.cells, 1)
+        if not isinstance(self.cache_location, CacheLocation):
+            raise TypeError(f"cache_location must be a CacheLocation, got {self.cache_location!r}")
+        _count("cache_capacity", self.cache_capacity, 1)
         if self.eviction not in EVICTION_POLICIES:
             raise ValueError(f"eviction must be lru or fifo, got {self.eviction!r}")
-        if self.max_prefetch is not None and self.max_prefetch < 0:
-            raise ValueError(f"max_prefetch must be >= 0, got {self.max_prefetch}")
+        if self.max_prefetch is not None:
+            _count("max_prefetch", self.max_prefetch, 0)
 
     def scenario_dict(self) -> dict:
         links = {name: getattr(self, name) for name in LINKS}

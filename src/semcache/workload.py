@@ -32,6 +32,14 @@ class EmptyKnowledgeBase(WorkloadError):
     pass
 
 
+def _count(name: str, value, least: int) -> None:
+    """Refuse a count that is not an int (a bool is not one) or is below ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class TraceEntry:
     time_ms: float
@@ -60,14 +68,12 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         lo, hi = self.requests_per_user
-        if not (0 < lo <= hi):
-            raise ValueError(f"bad requests_per_user range: {self.requests_per_user}")
+        _count("requests_per_user", lo, 1)
+        _count("requests_per_user", hi, lo)
         if not 0.0 <= self.p_follow <= 1.0:
             raise ValueError(f"p_follow must be in [0, 1], got {self.p_follow}")
-        if self.n_users <= 0:
-            raise ValueError("n_users must be positive")
-        if self.n_cells <= 0:
-            raise ValueError("n_cells must be positive")
+        _count("n_users", self.n_users, 1)
+        _count("n_cells", self.n_cells, 1)
         if isinstance(self.gap_ms, tuple):
             glo, ghi = self.gap_ms
             if not 0 <= glo <= ghi < math.inf:

@@ -352,7 +352,9 @@ class TestConfigErrors:
         else:
             path.write_bytes(content)
         assert main([command, f"--{key}", str(path)]) == 2
-        assert f"config error in '{key}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error in '{key}'" in err
+        assert ("is a directory" in err) is (content is None)
 
     def test_flag_read_like_file(self, kb_file, trace_file, tmp_path, capsys):
         scen = tmp_path / "scenario.yaml"

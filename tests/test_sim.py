@@ -926,8 +926,22 @@ class TestValidation:
             LinkSpec(delay, bandwidth)
 
     def test_no_cells_rejected(self):
-        with pytest.raises(ValueError, match="cells must be positive"):
+        with pytest.raises(ValueError, match="cells must be >= 1, got 0"):
             Topology(cells=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cache_capacity", 5e6),
+            ("cells", True),
+            ("max_prefetch", 1.5),
+            ("max_prefetch", True),
+            ("cache_location", "enodeb"),
+        ],
+    )
+    def test_wrong_type_rejected(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an? .*, got {value!r}"):
+            Topology(**{field: value})
 
     def test_unsorted_trace(self):
         kb = pair_kb()

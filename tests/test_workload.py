@@ -178,6 +178,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SyntheticSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("n_users", {"n_users": 2.0}),
+            ("n_cells", {"n_users": 1, "n_cells": 2.0}),
+            ("requests_per_user", {"n_users": 1, "requests_per_user": (2.0, 3)}),
+        ],
+    )
+    def test_non_int_counts(self, field, kwargs):
+        with pytest.raises(TypeError, match=f"{field} must be an int"):
+            SyntheticSpec(**kwargs)
+
     def test_fixed_gap(self):
         kb = chain_kb()
         trace = generate_trace(
