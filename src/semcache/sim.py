@@ -47,7 +47,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from semcache.cache import EVICTION_POLICIES, Cache, ContentOrigin
 # Not called here: ``sim.wire_size`` stays importable because the
@@ -157,9 +157,9 @@ class _PreparedTrace(list):
 
     ``descriptors`` and ``nbytes`` hold what the entries lack: each one's
     descriptor and its IRI's UTF-8 byte length.  Each entry is checked for
-    time order, then described, then checked for its cell range, so the
-    first bad entry's first fault is the one raised.  Not to be changed
-    once built."""
+    time order, then described, then its ``user_id`` and ``cell_id`` are
+    checked to be ints (not bools), then its cell range, so the first bad
+    entry's first fault is the one raised.  Not to be changed once built."""
 
     def __init__(self, trace: Iterable[TraceEntry], kb: KnowledgeBase, cells: int):
         super().__init__(trace)
@@ -173,6 +173,10 @@ class _PreparedTrace(list):
                 raise UnsortedTrace(idx)
             prev_time = entry.time_ms
             self.descriptors.append(kb.describe(entry.entity_iri))
+            if type(entry.user_id) is not int or type(entry.cell_id) is not int:
+                name = "user_id" if type(entry.user_id) is not int else "cell_id"
+                value = getattr(entry, name)
+                raise SimulationError(f"trace entry {idx}: {name} must be an int, got {value!r}")
             if not 0 <= entry.cell_id < cells:
                 raise SimulationError(f"trace entry {idx}: cell {entry.cell_id} outside topology")
             self.nbytes.append(len(entry.entity_iri.encode("utf-8")))
@@ -227,9 +231,6 @@ _CACHE_DEPTH = {CacheLocation.ENODEB: 1, CacheLocation.SGW: 2, CacheLocation.PGW
 
 _Then = Callable[[float, Any], None]  # called as then(arrival time, arg)
 _Waiters = list[RequestRecord]
-# (t, then, arg): a request reaching its cache node at ``t``, whose access
-# links are already claimed; ``then(t, arg)`` runs before any heap event at ``t``.
-_Arrival = tuple[float, _Then, Any]
 
 
 @dataclass(frozen=True)
@@ -262,20 +263,22 @@ class _EventLoop:
     def at(self, t: float, then: _Then, arg: Any) -> None:
         heapq.heappush(self._heap, (t, next(self._seq), then, arg))
 
-    def run(self, arrivals: Iterable[_Arrival] = ()) -> None:
-        """Run until the heap is empty, merging in the time-ordered ``arrivals``:
-        each calls ``then(t, arg)`` when its time is at most that of the
-        heap's next event, and claims no channel."""
+    def run(
+        self, arrivals: Iterable[tuple[float, Any]] = (), arrive: Optional[_Then] = None
+    ) -> None:
+        """Run the time-ordered ``(t, arg)`` ``arrivals`` through their one
+        handler ``arrive(t, arg)``, then drain the heap.  Each arrival runs
+        after the heap's events before ``t`` and before those at ``t``, and
+        claims no channel."""
         heap, pop = self._heap, heapq.heappop
-        pending = iter(arrivals)
-        arrival = next(pending, None)
-        while heap or arrival:
-            if arrival and (not heap or arrival[0] <= heap[0][0]):
-                time, then, arg = arrival
-                arrival = next(pending, None)
-            else:
-                time, _, then, arg = pop(heap)
-            then(time, arg)
+        for time, arg in arrivals:
+            while heap and heap[0][0] < time:
+                t, _, then, event = pop(heap)
+                then(t, event)
+            arrive(time, arg)
+        while heap:
+            t, _, then, event = pop(heap)
+            then(t, event)
 
 
 class _Simulation:
@@ -328,9 +331,10 @@ class _Simulation:
 
     # -- request lifecycle --------------------------------------------------
 
-    def schedule_trace(self) -> list[_Arrival]:
+    def schedule_trace(self) -> Iterator[tuple[float, RequestRecord]]:
         """Record each request, claim its access links and return its
-        arrivals at the cache node in the order they run.
+        ``(t, record)`` arrivals at the cache node in the order they run,
+        for ``_at_cache`` to handle.
 
         Only requests cross these links, so they can be claimed before the
         run, one level at a time: the first link in trace order and each
@@ -358,8 +362,7 @@ class _Simulation:
                 busy = channel.busy_until = (busy if busy > t else t) + sizes[i] / channel.bandwidth
                 times[i] = busy + channel.delay
             order = sorted(order, key=times.__getitem__)
-        at_cache, records = self._at_cache, self.records
-        return [(times[i], at_cache, records[i]) for i in order]
+        return zip(map(times.__getitem__, order), map(self.records.__getitem__, order))
 
     def _at_cache(self, t: float, record: RequestRecord) -> None:
         route = self.routes[record.cell_id]
@@ -427,10 +430,7 @@ class _Simulation:
     # -- prefetch path ------------------------------------------------------
 
     def _launch_prefetches(self, record: RequestRecord, route: _CellRoutes, t: float) -> None:
-        predictions = infer_next(self.kb, record.descriptor)
-        if self.max_prefetch is not None:
-            predictions = predictions[: self.max_prefetch]
-        for predicted in predictions:
+        for predicted in infer_next(self.kb, record.descriptor)[: self.max_prefetch]:
             key = predicted.entity_iri
             if key in route.cache or key in route.pending:
                 continue
@@ -494,9 +494,7 @@ def run_simulation(
     that work.
     """
     sim = _Simulation(topology, kb, trace, mode)
-    # The arrivals hold bound methods of ``sim``; kept on it, they would tie
-    # it and its records into a reference cycle that outlives the run.
-    sim.loop.run(sim.schedule_trace())
+    sim.loop.run(sim.schedule_trace(), sim._at_cache)
     unserved = next((r for r in sim.records if r.served_from is None), None)
     if unserved is not None:
         raise SimulationError(f"request {unserved.request_id} was never served")

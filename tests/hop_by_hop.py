@@ -51,5 +51,5 @@ def _stamp(t, record):
 def run_hop_by_hop(topology, kb, trace, mode, seed=0):
     """``run_simulation`` on ``HopByHop``."""
     sim = HopByHop(topology, kb, trace, mode)
-    sim.loop.run(sim.schedule_trace())
+    sim.loop.run(sim.schedule_trace(), sim._at_cache)
     return sim.report(seed), sim.records

@@ -3,7 +3,7 @@ import math
 import re
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -258,6 +258,13 @@ class TestImprovement:
         out = improvement(sem, trad)
         assert math.isinf(out["hit_ratio_increase_pct"])
 
+    def test_empty_traces_give_zeros(self, kb):
+        # No request: both hit ratios and Traditional's mean latency are 0.
+        sem, trad = (run_simulation(reference_topology(), kb, [], mode)[0] for mode in Mode)
+        assert trad.mean_latency_ms == 0.0
+        out = improvement(sem, trad)
+        assert out == {"hit_ratio_increase_pct": 0.0, "latency_decrease_pct": 0.0}
+
     def test_scenario_mismatch(self, kb):
         sem, trad = self._pair(kb)
         trad.scenario["cache_capacity"] = 123
@@ -280,6 +287,19 @@ class TestOutput:
         lines = first.strip().splitlines()
         assert len(lines) == 1 + 4  # header + 2 values x 2 modes
         assert "hit_ratio" in lines[0]
+
+    def test_no_points_write_nothing(self):
+        sink = io.StringIO()
+        write_csv([], sink)
+        assert sink.getvalue() == ""
+
+    def test_report_as_dict_is_a_copy_of_every_field(self, kb):
+        report, _ = run_simulation(reference_topology(), kb, [], Mode.SEMANTIC, seed=5)
+        out = report.as_dict()
+        assert out == {field.name: getattr(report, field.name) for field in fields(report)}
+        assert out["scenario"]["seed"] == 5
+        out["scenario"]["seed"] = 6
+        assert report.scenario["seed"] == 5
 
     def test_summary_table(self, kb):
         scen = Scenario(topology=reference_topology(), workload=small_workload())

@@ -1,4 +1,5 @@
 import re
+import shlex
 from pathlib import Path
 
 import yaml
@@ -24,3 +25,17 @@ def test_scenario_keys_match_cli():
     for link in re.findall(r"`(\w+)`", links):
         keys |= {f"{link}_delay_ms", f"{link}_bandwidth"}
     assert keys == set(SETTINGS)
+
+
+def test_command_lines_parse():
+    from semcache.cli import build_parser
+
+    section = README.read_text(encoding="utf-8").split("## Command-line usage", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert len(lines) == 6
+    parser = build_parser()
+    for line in lines:
+        program, *argv = shlex.split(line)
+        assert program == "semcache"
+        parser.parse_args(argv)  # a line that does not parse exits

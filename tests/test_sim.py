@@ -117,7 +117,7 @@ class TestEventLoop:
         # A heap event at 5 ms claims the contended channel, as a fetch at
         # the S-GW claims its uplink.
         loop.at(5.0, claim, "heap")
-        loop.run([(arrival_time, claim, "arrival")])
+        loop.run([(arrival_time, "arrival")], claim)
         return arrivals
 
     def test_arrival_runs_before_equal_time_heap_event(self):
@@ -125,6 +125,24 @@ class TestEventLoop:
 
     def test_later_arrival_waits_for_heap_top(self):
         assert self._contend(5.5) == [(6.0, "heap"), (7.0, "arrival")]
+
+    @pytest.mark.parametrize(
+        "second, pushed, expected",
+        [(5.0, 5.0, ["first", "second", "pushed"]), (7.0, 6.0, ["first", "pushed", "second"])],
+    )
+    def test_event_pushed_by_an_arrival(self, second, pushed, expected):
+        """The first arrival's handler pushes a heap event at ``pushed``: it
+        runs after an arrival at its own time and before a later one."""
+        ran = []
+        loop = _EventLoop()
+
+        def arrive(t, name):
+            ran.append(name)
+            if name == "first":
+                loop.at(pushed, lambda t, arg: ran.append(arg), "pushed")
+
+        loop.run([(5.0, "first"), (second, "second")], arrive)
+        assert ran == expected
 
     @pytest.mark.parametrize("hop_first", [True, False])
     def test_loop_hop_and_handler_send_claim_in_pop_order(self, hop_first):
@@ -219,7 +237,7 @@ class TestAccessArrivalsMatchHopByHop:
     @settings(max_examples=300, deadline=None)
     def test_same_arrivals_and_channels(self, links, cells, location, steps):
         sim = self._sim(_Simulation, links, cells, location, steps)
-        claimed = [(t.hex(), record.request_id) for t, _, record in sim.schedule_trace()]
+        claimed = [(t.hex(), record.request_id) for t, record in sim.schedule_trace()]
 
         hop_by_hop = self._sim(HopByHop, links, cells, location, steps)
         arrived = []
@@ -229,7 +247,7 @@ class TestAccessArrivalsMatchHopByHop:
             path = hop_by_hop.routes[trace[i].cell_id].access_up
             hop_by_hop.send(path, t, trace.nbytes[i], lambda t, i: arrived.append((t.hex(), i)), i)
 
-        hop_by_hop.loop.run((entry.time_ms, send, i) for i, entry in enumerate(trace))
+        hop_by_hop.loop.run(((entry.time_ms, i) for i, entry in enumerate(trace)), send)
         assert claimed == arrived
 
         def access_channels(sim):
@@ -980,6 +998,30 @@ class TestValidation:
         ]
         with pytest.raises(SimulationError, match=r"^trace entry 0: cell 5 outside topology$"):
             run_simulation(topo(), pair_kb(), trace, Mode.TRADITIONAL)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cell_id", True),
+            ("cell_id", 0.0),
+            ("cell_id", 1.5),
+            ("cell_id", "0"),
+            ("user_id", True),
+            ("user_id", 1.5),
+            ("user_id", "0"),
+        ],
+    )
+    def test_id_that_is_not_an_int(self, field, value):
+        # A bool cell would run as cell 0 or 1, and a bool user would be
+        # counted as user 0 or 1; a float or str cell would fail in the run.
+        bad = replace(TraceEntry(1.0, 1, 1, "wiki/Bob"), **{field: value})
+        trace = [TraceEntry(0.0, 0, 0, "wiki/Alice"), bad]
+        ran = AssertionError("the event loop ran")
+        message = rf"^trace entry 1: {field} must be an int, got {value!r}$"
+        with mock.patch.object(_EventLoop, "run", side_effect=ran), pytest.raises(
+            SimulationError, match=message
+        ):
+            run_simulation(topo(cells=2), pair_kb(), trace, Mode.SEMANTIC)
 
     def test_unknown_entity_precedes_a_later_unsorted_entry(self):
         trace = [
