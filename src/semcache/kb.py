@@ -6,7 +6,8 @@ the content its request returns and its inference successors, also built
 once at load.  One-hop inference predicts a user's next request: for a
 person, the pages of their spouses; for a TV series, the pages of its
 stars.  Other relation lines (a person's ``starring``, a TV series's
-``spouse``) load and count as triples but are not followed.
+``spouse``) load and count as triples but are not followed.  Every IRI is
+one shared ``str`` object, the first one read for it, in all of these.
 
 File format (UTF-8, line oriented, ``#`` comments):
 
@@ -81,7 +82,8 @@ class KnowledgeBase:
     returns for it: the shared descriptors of its objects under its kind's
     relation, deduplicated and sorted by IRI, or ``()``.  ``triples`` counts
     the distinct relation lines, followed or not, plus one type declaration
-    per entity.
+    per entity.  An IRI is one shared ``str`` object: the key of all three
+    dicts and the ``entity_iri`` of its descriptor.
     """
 
     descriptors: dict[str, MetadataDescriptor]
@@ -150,10 +152,15 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
         with open(source, encoding="utf-8") as fh:
             return load_knowledge_base(fh)
 
-    objects: dict[str, defaultdict[str, set[str]]] = {name: defaultdict(set) for name in _RULE}
+    # Relation objects are collected as lists and deduplicated once per
+    # subject at the end: a set per subject costs more than its duplicates.
+    objects: dict[str, defaultdict[str, list[str]]] = {name: defaultdict(list) for name in _RULE}
     descriptors: dict[str, MetadataDescriptor] = {}
     sizes: dict[str, int] = {}
     referenced: dict[str, int] = {}  # iri -> first line referencing it
+    # Every IRI is kept as the first str object read for it, so that all the
+    # tables share one object per IRI instead of one per occurrence.
+    iris: dict[str, str] = {}
 
     for line_no, line in enumerate(source, start=1):
         stripped = line.strip()
@@ -170,6 +177,7 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
         subject, keyword, value = tokens
         if not subject:
             raise ParseError(line_no, "empty subject IRI")
+        subject = iris.setdefault(subject, subject)
         if keyword == "type":
             if value not in _KIND_NAMES:
                 raise ParseError(line_no, f"unknown kind {value!r}")
@@ -197,7 +205,8 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
         elif keyword in objects:
             if not value:
                 raise ParseError(line_no, "empty object IRI")
-            objects[keyword][subject].add(value)
+            value = iris.setdefault(value, value)
+            objects[keyword][subject].append(value)
             referenced.setdefault(subject, line_no)
             referenced.setdefault(value, line_no)
         else:
@@ -215,8 +224,11 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
     successors: dict[str, tuple[MetadataDescriptor, ...]] = dict.fromkeys(descriptors, ())
     triples = len(descriptors)
     for name, kind in _RULE.items():
-        for subject, objs in objects[name].items():
-            triples += len(objs)
+        relation = objects[name]
+        while relation:  # popping each list frees it as it is converted
+            subject, objs = relation.popitem()
+            unique = set(objs)
+            triples += len(unique)
             if descriptors[subject].entity_kind is kind:
-                successors[subject] = tuple(map(descriptors.__getitem__, sorted(objs)))
+                successors[subject] = tuple(map(descriptors.__getitem__, sorted(unique)))
     return KnowledgeBase(descriptors, sizes, successors, triples)

@@ -96,7 +96,10 @@ def load_trace(source: str | Path | TextIO | Iterable[str]) -> list[TraceEntry]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        row = next(csv.reader([stripped]))
+        try:
+            row = next(csv.reader([stripped]))
+        except csv.Error as exc:
+            raise ParseError(line_no, f"unreadable row: {exc}") from None
         if [c.strip() for c in row] == CSV_HEADER:
             continue
         if len(row) != 4:

@@ -3,6 +3,7 @@ import io
 import random
 import shlex
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,50 @@ class TestDescribe:
             kb.describe("wiki/Nope")
         with pytest.raises(UnknownEntity):
             kb.kind_of("wiki/Nope")
+
+
+def _generated_kb_lines(n_entities: int, seed: int) -> list[str]:
+    """A shuffled KB: three fifths persons, three quarters of them married in
+    pairs, and every series starring one to five persons."""
+    rng = random.Random(seed)
+    n_persons = n_entities * 3 // 5
+    persons = [f"wiki/People/Person_{rng.randrange(10**6)}_{i}" for i in range(n_persons)]
+    series = [f"wiki/TV/Series_{rng.randrange(10**6)}_{i}" for i in range(n_entities - n_persons)]
+    married = rng.sample(persons, n_persons * 3 // 4 // 2 * 2)
+    lines = [f'"{a}" spouse "{married[i ^ 1]}"\n' for i, a in enumerate(married)]
+    for s in series:
+        lines += [f'"{s}" starring "{p}"\n' for p in rng.sample(persons, rng.randint(1, 5))]
+    for kind, iris in (("Person", persons), ("TVSeries", series)):
+        for iri in iris:
+            lines += [f'"{iri}" type {kind}\n', f'"{iri}" size {rng.randint(20_000, 200_000)}\n']
+    rng.shuffle(lines)
+    return lines
+
+
+class TestMemory:
+    def test_one_str_per_iri(self):
+        # wiki/B is first read from a line with a comment, which shlex splits.
+        text = '"wiki/B" size 1000 # declared twice\n' + SMALL_KB
+        assert _plain_tokens(text.splitlines()[0]) is None
+        kb = load_knowledge_base(io.StringIO(text))
+        descriptor_keys = {iri: iri for iri in kb.descriptors}
+        successor_keys = {iri: iri for iri in kb.successors}
+        assert len(kb.sizes) == 3
+        for iri in kb.sizes:
+            assert descriptor_keys[iri] is iri
+            assert kb.descriptors[iri].entity_iri is iri
+            assert successor_keys[iri] is iri
+
+    def test_working_set_is_bounded_by_the_kb(self):
+        lines = _generated_kb_lines(2_000, seed=1)
+        tracemalloc.start()
+        try:
+            kb = load_knowledge_base(lines)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(kb) == 2_000
+        assert peak <= 1.8 * retained, (peak, retained)
 
 
 class TestInference:

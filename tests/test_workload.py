@@ -66,8 +66,13 @@ class TestLoadTrace:
 
     @pytest.mark.parametrize(
         "row, match",
-        [("2,0,wiki/B", "expected 4 columns, got 3"), ("2,0,0, ", "entity_iri must be non-empty")],
-        ids=["three-columns", "empty-iri"],
+        [
+            ("2,0,wiki/B", "expected 4 columns, got 3"),
+            ("2,0,0, ", "entity_iri must be non-empty"),
+            # A lone carriage return inside a row is a line break ``csv`` refuses.
+            ("2,0,0,wiki/B\r3,0,0,wiki/C", "unreadable row: new-line character"),
+        ],
+        ids=["three-columns", "empty-iri", "carriage-return"],
     )
     def test_refused_row_names_line(self, row, match):
         with pytest.raises(ParseError, match=match) as exc:
