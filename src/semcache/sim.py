@@ -19,16 +19,19 @@ from eNodeB caches, so such a fetch claims its link to the S-GW when it is
 launched and the rest of its round trip in an event at the S-GW; a fetch
 from an S-GW or P-GW cache claims its round trip when launched.  A fetch
 lands at its cache node in an event.  A delivery claims its links when it
-leaves the cache node, and ``schedule_trace`` claims the requests' links
-up to it before the run.  Equal-time events run in the order they were
-pushed, after the requests that reach a cache node at that time.
+leaves the cache node.  Only requests cross the links up to it, so their
+arrivals there are worked out before the run.  Equal-time events run in
+the order they were pushed, after the requests that reach a cache node at
+that time.
 
 A trace is checked and described once per (trace, KB, cell count): its
 order, each entry's descriptor, its cell range and each request's size are
 worked out before the first run, and ``run_sweep`` reuses them across its
-points.  A metadata header's size depends only on its IRI's UTF-8 byte
-length, so a Semantic run's overhead is counted from the request sizes
-already worked out, with no header built.
+points.  So are the requests' arrivals at the end of each run of access
+links, worked out from those one link shorter: both modes and all three
+cache locations share them.  A metadata header's size depends only on its
+IRI's UTF-8 byte length, so a Semantic run's overhead is counted from the
+request sizes already worked out, with no header built.
 
 A request carries its metadata to the cache node; there the cache is
 consulted and, in Semantic mode, ``infer_next`` fires (on hits and misses
@@ -45,6 +48,7 @@ import functools
 import heapq
 import itertools
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
@@ -100,6 +104,11 @@ DEFAULT_BANDWIDTH = 1250.0  # bytes/ms (10 Mbit/s)
 
 # The Topology fields of the links, from the UE outwards.
 LINKS = ("ue_enb", "enb_sgw", "sgw_pgw", "pgw_inet")
+
+# Links between the UE and the cache node, by cache location.
+_CACHE_DEPTH = {CacheLocation.ENODEB: 1, CacheLocation.SGW: 2, CacheLocation.PGW: 3}
+# The links up to the S-GW are each cell's own; the cells' paths merge there.
+_SGW = _CACHE_DEPTH[CacheLocation.SGW]
 
 
 @dataclass(frozen=True)
@@ -159,7 +168,9 @@ class _PreparedTrace(list):
     descriptor and its IRI's UTF-8 byte length.  Each entry is checked for
     time order, then described, then its ``user_id`` and ``cell_id`` are
     checked to be ints (not bools), then its cell range, so the first bad
-    entry's first fault is the one raised.  Not to be changed once built."""
+    entry's first fault is the one raised.  ``arrivals`` works out the
+    requests' way up to a cache node once per run of access links.  Not to
+    be changed once built."""
 
     def __init__(self, trace: Iterable[TraceEntry], kb: KnowledgeBase, cells: int):
         super().__init__(trace)
@@ -167,6 +178,7 @@ class _PreparedTrace(list):
         self.cells = cells
         self.descriptors: list[MetadataDescriptor] = []
         self.nbytes: list[int] = []
+        self._arrivals: dict[tuple[LinkSpec, ...], tuple[array, array]] = {}
         prev_time = 0.0
         for idx, entry in enumerate(self):
             if entry.time_ms < prev_time:
@@ -180,6 +192,53 @@ class _PreparedTrace(list):
             if not 0 <= entry.cell_id < cells:
                 raise SimulationError(f"trace entry {idx}: cell {entry.cell_id} outside topology")
             self.nbytes.append(len(entry.entity_iri.encode("utf-8")))
+
+    def arrivals(self, links: tuple[LinkSpec, ...]) -> tuple[Sequence[float], Sequence[int]]:
+        """Each request's arrival time at the end of ``links``, the access
+        links from the UE up to a cache node, and the request ids in the
+        order they arrive there.
+
+        Only requests cross these links, so their claims depend on nothing
+        but the trace and the links.  Each run of links is worked out once,
+        from the run a link shorter, and both modes and every cache location
+        share it.  It is stored as two arrays, 8 bytes a number; a run just
+        worked out is returned as the lists it was worked out in.
+
+        The first link is claimed in trace order and each later one in order
+        of arrival at the node before it.  A stable sort keeps the previous
+        level's order on ties, as hop-by-hop claims would.  Below the S-GW
+        each cell has its own channel on a link, and above it one channel
+        serves every cell.  ``_claim``'s law is written out, each channel
+        held as its ``busy_until``: a call per request and level costs more."""
+        found = self._arrivals.get(links)
+        if found is not None:
+            return found
+        depth = len(links) - 1
+        while depth and links[:depth] not in self._arrivals:
+            depth -= 1
+        # Lists of floats and ints, not a tuple per request and level: tuples
+        # that live across levels set off the garbage collector.
+        if depth:
+            # Copies: the stored arrays stay the shorter run's.
+            times, order = map(list, self._arrivals[links[:depth]])
+        else:
+            times, order = [entry.time_ms for entry in self], range(len(self))
+        sizes = self.nbytes
+        cells = [entry.cell_id for entry in self] if depth < _SGW else None
+        for level in range(depth, len(links)):
+            delay = links[level].propagation_delay_ms
+            bandwidth = links[level].bandwidth_bytes_per_ms
+            channel = cells if level < _SGW else [0] * len(self)  # each request's channel
+            busy_until = [0.0] * self.cells
+            for i in order:
+                c = channel[i]
+                t = times[i]
+                busy = busy_until[c]
+                busy = busy_until[c] = (busy if busy > t else t) + sizes[i] / bandwidth
+                times[i] = busy + delay
+            order = sorted(order, key=times.__getitem__)
+            self._arrivals[links[: level + 1]] = array("d", times), array("l", order)
+        return times, order
 
     @functools.cached_property
     def overhead(self) -> dict:
@@ -225,10 +284,6 @@ def _claim(path: _Path, t: float, nbytes: float) -> float:
     return t
 
 
-# Links between the UE and the cache node, by cache location.
-_CACHE_DEPTH = {CacheLocation.ENODEB: 1, CacheLocation.SGW: 2, CacheLocation.PGW: 3}
-
-
 _Then = Callable[[float, Any], None]  # called as then(arrival time, arg)
 _Waiters = list[RequestRecord]
 
@@ -240,7 +295,6 @@ class _CellRoutes:
 
     cache: Cache
     pending: dict[str, _Waiters]
-    access_up: _Path
     access_down: _Path
     to_sgw: _Path  # a fetch's links below the S-GW: none unless the cache is at the eNodeB
     origin_up: _Path
@@ -296,7 +350,7 @@ class _Simulation:
         t = topology
         per_cell = t.cache_location is CacheLocation.ENODEB
         depth = _CACHE_DEPTH[t.cache_location]
-        sgw = _CACHE_DEPTH[CacheLocation.SGW]  # links up to the S-GW, where cells merge
+        self.access_links = tuple(getattr(t, name) for name in LINKS[:depth])
         shared_up = (_Channel(t.sgw_pgw), _Channel(t.pgw_inet))
         shared_down = (_Channel(t.sgw_pgw), _Channel(t.pgw_inet))
         n_caches = t.cells if per_cell else 1
@@ -305,17 +359,17 @@ class _Simulation:
         self.routes: list[_CellRoutes] = []
         for cell in range(t.cells):
             node = cell if per_cell else 0
-            # Both chains run from the UE outwards.
-            up = (_Channel(t.ue_enb), _Channel(t.enb_sgw), *shared_up)
+            # ``down`` runs from the UE outwards.  The uplinks from the UE to
+            # the cache node carry only requests: the prepared trace claims them.
+            to_sgw = tuple(_Channel(getattr(t, name)) for name in LINKS[depth:_SGW])
             down = (_Channel(t.ue_enb), _Channel(t.enb_sgw), *shared_down)
             self.routes.append(
                 _CellRoutes(
                     cache=self.caches[node],
                     pending=pending[node],
-                    access_up=up[:depth],
                     access_down=down[:depth][::-1],
-                    to_sgw=up[depth:sgw],
-                    origin_up=up[max(depth, sgw):],
+                    to_sgw=to_sgw,
+                    origin_up=shared_up[max(depth - _SGW, 0) :],
                     origin_down=down[depth:][::-1],
                 )
             )
@@ -332,36 +386,15 @@ class _Simulation:
     # -- request lifecycle --------------------------------------------------
 
     def schedule_trace(self) -> Iterator[tuple[float, RequestRecord]]:
-        """Record each request, claim its access links and return its
-        ``(t, record)`` arrivals at the cache node in the order they run,
-        for ``_at_cache`` to handle.
-
-        Only requests cross these links, so they can be claimed before the
-        run, one level at a time: the first link in trace order and each
-        later one in order of arrival at the node before it.  A stable sort
-        keeps the previous level's order on ties, as hop-by-hop claims
-        would.  ``_claim``'s law is written out: a call per request and
-        level costs more."""
+        """Record each request and return its ``(t, record)`` arrivals at the
+        cache node in the order they run, for ``_at_cache`` to handle.  The
+        prepared trace works them out once for the links up to the node."""
         trace = self.trace
         self.records = [
             RequestRecord(idx, entry.user_id, entry.cell_id, descriptor, entry.time_ms)
             for idx, entry, descriptor in zip(itertools.count(), trace, trace.descriptors)
         ]
-        ups = [route.access_up for route in self.routes]
-        # Lists of floats and ints, not a tuple per request and level: tuples
-        # that live across levels set off the garbage collector.
-        paths = [ups[entry.cell_id] for entry in trace]
-        sizes = trace.nbytes  # never changed
-        times = [entry.time_ms for entry in trace]  # each request's time at the node it reached
-        order = range(len(trace))
-        for level in range(len(ups[0])):
-            for i in order:
-                channel = paths[i][level]
-                t = times[i]
-                busy = channel.busy_until
-                busy = channel.busy_until = (busy if busy > t else t) + sizes[i] / channel.bandwidth
-                times[i] = busy + channel.delay
-            order = sorted(order, key=times.__getitem__)
+        times, order = trace.arrivals(self.access_links)
         return zip(map(times.__getitem__, order), map(self.records.__getitem__, order))
 
     def _at_cache(self, t: float, record: RequestRecord) -> None:

@@ -40,7 +40,7 @@ def _count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     time_ms: float
     user_id: int
@@ -86,12 +86,14 @@ CSV_HEADER = ["time_ms", "user_id", "cell_id", "entity_iri"]
 
 
 def load_trace(source: str | Path | TextIO | Iterable[str]) -> list[TraceEntry]:
-    """Read a trace CSV, returning entries sorted by time (stable)."""
+    """Read a trace CSV, returning entries sorted by time (stable).  The
+    entries hold one ``str`` object per distinct IRI."""
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8", newline="") as fh:
             return load_trace(fh)
 
     entries: list[TraceEntry] = []
+    iris: dict[str, str] = {}
     for line_no, line in enumerate(source, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -104,8 +106,10 @@ def load_trace(source: str | Path | TextIO | Iterable[str]) -> list[TraceEntry]:
             continue
         if len(row) != 4:
             raise ParseError(line_no, f"expected 4 columns, got {len(row)}")
+        iri = row[3].strip()
+        iri = iris.setdefault(iri, iri)
         try:
-            entries.append(TraceEntry(float(row[0]), int(row[1]), int(row[2]), row[3].strip()))
+            entries.append(TraceEntry(float(row[0]), int(row[1]), int(row[2]), iri))
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
     entries.sort(key=lambda e: e.time_ms)

@@ -6,12 +6,25 @@ the link's sending end pops.  ``semcache.sim`` claims a run of links at
 once wherever each link is fed only by the link before it, and keeps heap
 events only where the S-GW uplink merges the cells' fetches and where a
 fetch lands; ``tests/test_sim.py`` checks that whole runs of the two agree
-bit for bit.  The requests' access links are still claimed before the run
-by ``schedule_trace``, which ``TestAccessArrivalsMatchHopByHop`` checks
-against ``HopByHop.send``.
+bit for bit.  The requests' arrivals at the cache node are still worked
+out before the run, once per prepared trace and run of access links, by
+``_PreparedTrace.arrivals``; ``TestAccessArrivalsMatchHopByHop`` checks
+them against ``HopByHop.send`` over the paths of ``access_up``.
 """
 
-from semcache.sim import _claim, _Simulation
+from semcache.sim import _CACHE_DEPTH, _Channel, _claim, _Simulation
+
+
+def access_up(topology):
+    """Each cell's links from the UE up to its cache node, as new channels:
+    the UE-eNodeB and eNodeB-S-GW links are the cell's own, and one S-GW-P-GW
+    channel is shared by every cell."""
+    shared = (_Channel(topology.sgw_pgw),)
+    depth = _CACHE_DEPTH[topology.cache_location]
+    return [
+        (_Channel(topology.ue_enb), _Channel(topology.enb_sgw), *shared)[:depth]
+        for _ in range(topology.cells)
+    ]
 
 
 class HopByHop(_Simulation):

@@ -32,7 +32,7 @@ from semcache.sim import (
 )
 from semcache.workload import TraceEntry
 
-from hop_by_hop import HopByHop, run_hop_by_hop
+from hop_by_hop import HopByHop, access_up, run_hop_by_hop
 
 PAIR_KB = """\
 "wiki/Alice" spouse "wiki/Bob"
@@ -196,10 +196,9 @@ _IRIS = ("a", "bb", "cccc")
 
 
 class TestAccessArrivalsMatchHopByHop:
-    """``schedule_trace`` claims every access link before the run; its
-    arrivals at the cache node, their order and every access channel's
-    ``busy_until`` are those of the same requests sent hop by hop by
-    ``HopByHop.send`` as they are issued."""
+    """``schedule_trace``'s arrivals at the cache node, worked out before the
+    run, and their order are those of the same requests sent hop by hop by
+    ``HopByHop.send`` as they are issued, over each cell's ``access_up``."""
 
     @staticmethod
     def _sim(simulation, links, cells, location, steps):
@@ -242,19 +241,14 @@ class TestAccessArrivalsMatchHopByHop:
         hop_by_hop = self._sim(HopByHop, links, cells, location, steps)
         arrived = []
         trace = hop_by_hop.trace
+        ups = access_up(hop_by_hop.topology)
 
         def send(t, i):
-            path = hop_by_hop.routes[trace[i].cell_id].access_up
+            path = ups[trace[i].cell_id]
             hop_by_hop.send(path, t, trace.nbytes[i], lambda t, i: arrived.append((t.hex(), i)), i)
 
         hop_by_hop.loop.run(((entry.time_ms, i) for i, entry in enumerate(trace)), send)
         assert claimed == arrived
-
-        def access_channels(sim):
-            return list(dict.fromkeys(c for route in sim.routes for c in route.access_up))
-
-        for channel, twin in zip(access_channels(sim), access_channels(hop_by_hop), strict=True):
-            assert channel.busy_until.hex() == twin.busy_until.hex()
 
 
 class TestHeapEvents:
@@ -311,7 +305,7 @@ class TestDeliveryLinks:
         feeders, firsts = {}, set()
         for route in sim.routes:
             fetch = route.to_sgw + route.origin_up + route.origin_down
-            for path in (route.access_up, route.access_down, fetch):
+            for path in (route.access_down, fetch):
                 firsts.add(path[0])
                 for before, channel in zip(path, path[1:]):
                     feeders.setdefault(channel, set()).add(before)
@@ -354,6 +348,13 @@ _ENTITY = st.tuples(
     st.sampled_from(["Person", "TVSeries"]),
     st.integers(10_000, 120_000),
     st.lists(st.integers(0, 5), max_size=3, unique=True),
+)
+# (IRI, entity), each IRI once.
+_ENTITIES = st.lists(
+    st.tuples(st.text("abcdefgh", min_size=1, max_size=8), _ENTITY),
+    min_size=2,
+    max_size=6,
+    unique_by=lambda entity: entity[0],
 )
 # (gap before the request in ms, cell, entity index)
 _STEP = st.tuples(st.sampled_from([0.0, 1.0, 100.0, 1000.0]), st.integers(0, 2), st.integers(0, 5))
@@ -410,12 +411,7 @@ class TestRunsMatchHopByHop:
 
     @given(
         links=st.lists(_TIE_LINK, min_size=4, max_size=4),
-        entities=st.lists(
-            st.tuples(st.text("abcdefgh", min_size=1, max_size=8), _ENTITY),
-            min_size=2,
-            max_size=6,
-            unique_by=lambda entity: entity[0],
-        ),
+        entities=_ENTITIES,
         steps=st.lists(_STEP, min_size=1, max_size=12),
         cells=st.integers(1, 3),
         location=st.sampled_from(CacheLocation),
@@ -446,6 +442,62 @@ class TestRunsMatchHopByHop:
     def test_sgw_merge(self):
         _, records = self._run(run_simulation, **self.SGW_MERGE)
         assert [round(r.completed_at, 6) for r in records] == [483.500101, 383.500101]
+
+
+class TestSharedArrivals:
+    """A prepared trace works out its arrivals once per run of access links
+    and shares them: runs of one prepared trace at the three cache
+    locations in both modes, in any order, each match the run of a fresh
+    list of its entries."""
+
+    RUNS = [(location, mode) for location in CacheLocation for mode in Mode]
+    # Requests from three cells over the default links: each depth gives
+    # them other arrival times.
+    QUEUED = dict(
+        links=[Topology.ue_enb, Topology.enb_sgw, Topology.sgw_pgw, Topology.pgw_inet],
+        entities=[("e0", ("Person", 50_000, [1])), ("e1", ("Person", 20_000, []))],
+        steps=[(0.0, 0, 0), (1.0, 1, 1), (0.0, 2, 0)],
+        cells=3,
+        eviction="lru",
+        max_prefetch=None,
+    )
+
+    @given(
+        links=st.lists(_TIE_LINK, min_size=4, max_size=4),
+        entities=_ENTITIES,
+        steps=st.lists(_STEP, min_size=1, max_size=12),
+        cells=st.integers(1, 3),
+        runs=st.permutations(RUNS),
+        eviction=st.sampled_from(["lru", "fifo"]),
+        max_prefetch=st.sampled_from([None, 0, 1]),
+    )
+    # The P-GW runs first and stores the arrivals of every shorter run of
+    # links, which the later runs must find as they were worked out.
+    @example(**QUEUED, runs=RUNS[::-1])
+    # The S-GW run extends the first eNodeB run's arrivals, which the second
+    # eNodeB run must find as they were.
+    @example(**QUEUED, runs=[RUNS[0], RUNS[2], RUNS[1], RUNS[4], RUNS[3], RUNS[5]])
+    @settings(max_examples=200, deadline=None)
+    def test_each_run_matches_a_fresh_trace(
+        self, links, entities, steps, cells, runs, eviction, max_prefetch
+    ):
+        kb, trace = _kb_and_trace(entities, steps, cells)
+        prepared = sim_module._PreparedTrace(trace, kb, cells)
+
+        def outcome(location, mode, trace):
+            topology = Topology(
+                cells,
+                *links,
+                cache_location=location,
+                cache_capacity=100_000,
+                eviction=eviction,
+                max_prefetch=max_prefetch,
+            )
+            report, records = run_simulation(topology, kb, trace, mode)
+            return repr(report), [(r.completed_at.hex(), r.served_from) for r in records]
+
+        for location, mode in runs:
+            assert outcome(location, mode, prepared) == outcome(location, mode, list(trace))
 
 
 def _round_trip(topology, depth, t, record, kb):

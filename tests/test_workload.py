@@ -84,6 +84,13 @@ class TestLoadTrace:
         entries = load_trace(io.StringIO(csv_text))
         assert [e.user_id for e in entries] == [0, 1, 2]
 
+    def test_one_str_per_iri_and_no_dict(self):
+        """An entry is four slots, and the rows of one IRI share its string."""
+        entries = load_trace(io.StringIO("1,0,0,wiki/Alice\n2,1,0,wiki/Bob\n3,2,1, wiki/Alice\n"))
+        assert not hasattr(entries[0], "__dict__")
+        assert entries[0].entity_iri is entries[2].entity_iri
+        assert entries[1].entity_iri == "wiki/Bob"
+
     def test_comments_and_blanks_skipped(self):
         csv_text = "# a comment\n\n1,0,0,wiki/A\n"
         assert len(load_trace(io.StringIO(csv_text))) == 1
