@@ -13,25 +13,28 @@ two directions never interfere.  ``_claim`` defines that law.
 
 A message claims a run of links at once wherever each link is fed only by
 the link before it, whose FIFO order it sees, so it gets the claims and
-times it would get hop by hop.  Heap events are left only where flows
-merge and where fetches land.  The S-GW uplink merges the cells' fetches
-from eNodeB caches, so such a fetch claims its link to the S-GW when it is
-launched and the rest of its round trip in an event at the S-GW; a fetch
-from an S-GW or P-GW cache claims its round trip when launched.  A fetch
-lands at its cache node in an event.  A delivery claims its links when it
+times it would get hop by hop.  Events are left only where flows merge and
+where fetches land.  The S-GW uplink merges the cells' fetches from eNodeB
+caches, so such a fetch claims its link to the S-GW when it is launched
+and the rest of its round trip in a heap event at the S-GW, and lands at
+its eNodeB in a heap event.  A fetch from an S-GW or P-GW cache claims its
+round trip when launched; only that node's fetches cross its links to the
+origin, so they land in the order they were launched, and a FIFO queue of
+landings replaces the heap there.  A delivery claims its links when it
 leaves the cache node.  Only requests cross the links up to it, so their
 arrivals there are worked out before the run.  Equal-time events run in
-the order they were pushed, after the requests that reach a cache node at
-that time.
+the order they were scheduled, after the requests that reach a cache node
+at that time.
 
 A trace is checked and described once per (trace, KB, cell count): its
 order, each entry's descriptor, its cell range and each request's size are
-worked out before the first run, and ``run_sweep`` reuses them across its
-points.  So are the requests' arrivals at the end of each run of access
-links, worked out from those one link shorter: both modes and all three
-cache locations share them.  A metadata header's size depends only on its
-IRI's UTF-8 byte length, so a Semantic run's overhead is counted from the
-request sizes already worked out, with no header built.
+worked out in one bulk pass before the first run, and ``run_sweep`` reuses
+them across its points.  So are the requests' arrivals at the end of each
+run of access links, worked out from those one link shorter: both modes
+and all three cache locations share them.  A trace that a single run
+prepares for itself stores none of them.  A metadata header's size
+depends only on its IRI's UTF-8 byte length, so a Semantic run's overhead
+is counted from the request sizes already worked out, with no header built.
 
 A request carries its metadata to the cache node; there the cache is
 consulted and, in Semantic mode, ``infer_next`` fires (on hits and misses
@@ -48,8 +51,9 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -164,34 +168,70 @@ class RequestRecord:
 class _PreparedTrace(list):
     """The entries of a trace, checked against one KB and cell count.
 
-    ``descriptors`` and ``nbytes`` hold what the entries lack: each one's
-    descriptor and its IRI's UTF-8 byte length.  Each entry is checked for
-    time order, then described, then its ``user_id`` and ``cell_id`` are
+    ``times``, ``user_ids`` and ``cell_ids`` hold the entries' fields as
+    columns, and ``descriptors`` and ``nbytes`` what the entries lack: each
+    one's descriptor and its IRI's UTF-8 byte length.  Each entry is checked
+    for time order, then described, then its ``user_id`` and ``cell_id`` are
     checked to be ints (not bools), then its cell range, so the first bad
-    entry's first fault is the one raised.  ``arrivals`` works out the
-    requests' way up to a cache node once per run of access links.  Not to
-    be changed once built."""
+    entry's first fault is the one raised.  One bulk pass makes each check
+    over the whole trace; only if it finds a fault does ``_check_each`` go
+    entry by entry, to name that fault.  ``arrivals`` works out the
+    requests' way up to a cache node; a ``shared`` trace, prepared for
+    several runs, stores what it works out, and a trace private to one run
+    stores nothing.  Not to be changed once built."""
 
-    def __init__(self, trace: Iterable[TraceEntry], kb: KnowledgeBase, cells: int):
+    def __init__(
+        self, trace: Iterable[TraceEntry], kb: KnowledgeBase, cells: int, shared: bool = True
+    ):
         super().__init__(trace)
         self.kb = kb
         self.cells = cells
-        self.descriptors: list[MetadataDescriptor] = []
-        self.nbytes: list[int] = []
+        self.shared = shared
         self._arrivals: dict[tuple[LinkSpec, ...], tuple[array, array]] = {}
+        try:
+            checked = self._check_all()
+        except Exception:  # ``_check_each`` raises it, or an earlier entry's fault
+            checked = False
+        if not checked:
+            self._check_each()
+            raise AssertionError("the bulk pass and the per-entry checks disagree")
+
+    def _check_all(self) -> bool:
+        """The bulk pass: the per-entry checks, each over the whole trace at
+        once, with ``kb.describe`` called once per entry.  False if an entry
+        fails one."""
+        self.times = times = [entry.time_ms for entry in self]
+        # ``<`` against the predecessor, the first entry against 0.0, as
+        # ``_check_each`` compares.
+        if any(map(operator.lt, times, itertools.chain((0.0,), times))):
+            return False
+        iris = [entry.entity_iri for entry in self]
+        self.descriptors = list(map(self.kb.describe, iris))
+        self.user_ids = users = [entry.user_id for entry in self]
+        self.cell_ids = cells = [entry.cell_id for entry in self]
+        if [*map(type, users), *map(type, cells)].count(int) < 2 * len(self):  # a bool is no int
+            return False
+        if cells and not (min(cells) >= 0 and max(cells) < self.cells):
+            return False
+        self.nbytes = [len(iri.encode()) for iri in iris]  # UTF-8
+        return True
+
+    def _check_each(self) -> None:
+        """The documented checks, entry by entry: raise the first bad entry's
+        first fault."""
         prev_time = 0.0
         for idx, entry in enumerate(self):
             if entry.time_ms < prev_time:
                 raise UnsortedTrace(idx)
             prev_time = entry.time_ms
-            self.descriptors.append(kb.describe(entry.entity_iri))
+            self.kb.describe(entry.entity_iri)
             if type(entry.user_id) is not int or type(entry.cell_id) is not int:
                 name = "user_id" if type(entry.user_id) is not int else "cell_id"
                 value = getattr(entry, name)
                 raise SimulationError(f"trace entry {idx}: {name} must be an int, got {value!r}")
-            if not 0 <= entry.cell_id < cells:
+            if not 0 <= entry.cell_id < self.cells:
                 raise SimulationError(f"trace entry {idx}: cell {entry.cell_id} outside topology")
-            self.nbytes.append(len(entry.entity_iri.encode("utf-8")))
+            entry.entity_iri.encode("utf-8")  # its byte length is taken last
 
     def arrivals(self, links: tuple[LinkSpec, ...]) -> tuple[Sequence[float], Sequence[int]]:
         """Each request's arrival time at the end of ``links``, the access
@@ -199,10 +239,11 @@ class _PreparedTrace(list):
         order they arrive there.
 
         Only requests cross these links, so their claims depend on nothing
-        but the trace and the links.  Each run of links is worked out once,
-        from the run a link shorter, and both modes and every cache location
-        share it.  It is stored as two arrays, 8 bytes a number; a run just
-        worked out is returned as the lists it was worked out in.
+        but the trace and the links.  A shared trace works each run of links
+        out once, from the run a link shorter, and both modes and every
+        cache location share it.  It is stored as two arrays, 8 bytes a
+        number; a run just worked out is returned as the lists it was worked
+        out in.  A private trace stores nothing.
 
         The first link is claimed in trace order and each later one in order
         of arrival at the node before it.  A stable sort keeps the previous
@@ -218,17 +259,39 @@ class _PreparedTrace(list):
             depth -= 1
         # Lists of floats and ints, not a tuple per request and level: tuples
         # that live across levels set off the garbage collector.
+        sizes = self.nbytes
         if depth:
             # Copies: the stored arrays stay the shorter run's.
             times, order = map(list, self._arrivals[links[:depth]])
+        elif len(links) < _SGW:
+            times, order = list(self.times), range(len(self))
         else:
-            times, order = [entry.time_ms for entry in self], range(len(self))
-        sizes = self.nbytes
-        cells = [entry.cell_id for entry in self] if depth < _SGW else None
+            # A cell's two own links in one pass, in trace order: FIFO keeps
+            # each cell's requests in trace order at its eNodeB.  Ties at the
+            # S-GW keep the order of arrival at the eNodeB, so that is
+            # sorted first.
+            (d0, b0), (d1, b1) = (
+                (spec.propagation_delay_ms, spec.bandwidth_bytes_per_ms) for spec in links[:_SGW]
+            )
+            to_enb, to_sgw = [0.0] * self.cells, [0.0] * self.cells
+            at_enb, times = [], []
+            for t, c, size in zip(self.times, self.cell_ids, sizes):
+                busy = to_enb[c]
+                busy = to_enb[c] = (busy if busy > t else t) + size / b0
+                t = busy + d0
+                at_enb.append(t)
+                busy = to_sgw[c]
+                busy = to_sgw[c] = (busy if busy > t else t) + size / b1
+                times.append(busy + d1)
+            order = sorted(range(len(self)), key=at_enb.__getitem__)
+            self._keep(links[:1], at_enb, order)
+            order = sorted(order, key=times.__getitem__)
+            self._keep(links[:_SGW], times, order)
+            depth = _SGW
         for level in range(depth, len(links)):
             delay = links[level].propagation_delay_ms
             bandwidth = links[level].bandwidth_bytes_per_ms
-            channel = cells if level < _SGW else [0] * len(self)  # each request's channel
+            channel = self.cell_ids if level < _SGW else [0] * len(self)  # each request's channel
             busy_until = [0.0] * self.cells
             for i in order:
                 c = channel[i]
@@ -237,8 +300,12 @@ class _PreparedTrace(list):
                 busy = busy_until[c] = (busy if busy > t else t) + sizes[i] / bandwidth
                 times[i] = busy + delay
             order = sorted(order, key=times.__getitem__)
-            self._arrivals[links[: level + 1]] = array("d", times), array("l", order)
+            self._keep(links[: level + 1], times, order)
         return times, order
+
+    def _keep(self, links: tuple[LinkSpec, ...], times: list[float], order: list[int]) -> None:
+        if self.shared:
+            self._arrivals[links] = array("d", times), array("l", order)
 
     @functools.cached_property
     def overhead(self) -> dict:
@@ -249,7 +316,7 @@ class _PreparedTrace(list):
         sizes = self.kb.sizes
         total = sum(_header_size(nbytes) * n for nbytes, n in Counter(self.nbytes).items())
         content = sum(sizes[entry.entity_iri] for entry in self)
-        n_users = len({entry.user_id for entry in self})
+        n_users = len(set(self.user_ids))
         return {
             "total_bytes": total,
             "per_user_bytes": total / n_users if n_users else 0.0,
@@ -308,28 +375,44 @@ _Fetch = tuple[_CellRoutes, str, ContentOrigin, _Waiters]
 
 class _EventLoop:
     """One heap of events ``(t, seq, then, arg)``: popping one calls
-    ``then(t, arg)``, and equal-time events pop in the order they were put."""
+    ``then(t, arg)``, and equal-time events pop in the order they were put.
+    And one FIFO queue of ``(t, arg)`` landings, for a cache node whose
+    fetches land in the order they were launched: each is queued no earlier
+    than the one before it, so the queue stays in time order.  A run uses
+    the heap or the queue, not both."""
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, _Then, Any]] = []
         self._seq = itertools.count()
+        self.landings: deque[tuple[float, Any]] = deque()
 
     def at(self, t: float, then: _Then, arg: Any) -> None:
         heapq.heappush(self._heap, (t, next(self._seq), then, arg))
 
     def run(
-        self, arrivals: Iterable[tuple[float, Any]] = (), arrive: Optional[_Then] = None
+        self,
+        arrivals: Iterable[tuple[float, Any]] = (),
+        arrive: Optional[_Then] = None,
+        land: Optional[_Then] = None,
     ) -> None:
         """Run the time-ordered ``(t, arg)`` ``arrivals`` through their one
-        handler ``arrive(t, arg)``, then drain the heap.  Each arrival runs
-        after the heap's events before ``t`` and before those at ``t``, and
+        handler ``arrive(t, arg)``, and the queued landings through theirs,
+        ``land(t, arg)``, then drain the queue and the heap.  Each arrival
+        runs after the events before ``t`` and before those at ``t``, and
         claims no channel."""
         heap, pop = self._heap, heapq.heappop
+        landings, popleft = self.landings, self.landings.popleft
         for time, arg in arrivals:
+            while landings and landings[0][0] < time:
+                t, event = popleft()
+                land(t, event)
             while heap and heap[0][0] < time:
                 t, _, then, event = pop(heap)
                 then(t, event)
             arrive(time, arg)
+        while landings:
+            t, event = popleft()
+            land(t, event)
         while heap:
             t, _, then, event = pop(heap)
             then(t, event)
@@ -376,7 +459,7 @@ class _Simulation:
 
         # A prepared trace is reused only for the same KB object and cell count.
         if not (isinstance(trace, _PreparedTrace) and trace.kb is kb and trace.cells == t.cells):
-            trace = _PreparedTrace(trace, kb, t.cells)
+            trace = _PreparedTrace(trace, kb, t.cells, shared=False)
         self.trace = trace
         # Headers are sized before the run, so an IRI too long for one fails first.
         self.overhead = trace.overhead if self.semantic else _NO_OVERHEAD
@@ -390,10 +473,8 @@ class _Simulation:
         cache node in the order they run, for ``_at_cache`` to handle.  The
         prepared trace works them out once for the links up to the node."""
         trace = self.trace
-        self.records = [
-            RequestRecord(idx, entry.user_id, entry.cell_id, descriptor, entry.time_ms)
-            for idx, entry, descriptor in zip(itertools.count(), trace, trace.descriptors)
-        ]
+        columns = trace.user_ids, trace.cell_ids, trace.descriptors, trace.times
+        self.records = list(map(RequestRecord, range(len(trace)), *columns))
         times, order = trace.arrivals(self.access_links)
         return zip(map(times.__getitem__, order), map(self.records.__getitem__, order))
 
@@ -419,17 +500,21 @@ class _Simulation:
         fetch = (route, key, origin, waiters)
         if route.to_sgw:  # the S-GW uplink merges the cells: claim it in heap order
             self.loop.at(_claim(route.to_sgw, t, len(key.encode("utf-8"))), self._at_sgw, fetch)
-        else:
-            self._at_sgw(t, fetch)
+        else:  # only this node's fetches cross its origin links: they land in launch order
+            self.loop.landings.append((self._round_trip(t, fetch), fetch))
 
     def _at_sgw(self, t: float, fetch: _Fetch) -> None:
+        """An eNodeB cache's ``fetch`` is at the S-GW: land it in heap order."""
+        self.loop.at(self._round_trip(t, fetch), self._fetched, fetch)
+
+    def _round_trip(self, t: float, fetch: _Fetch) -> float:
         """``fetch`` is at the S-GW or a cache node above it: claim its way to
-        the origin and back, where no flows merge, and land it."""
+        the origin and back, where no flows merge, and return its landing time."""
         route, key, _, _ = fetch
         size = self.sizes[key]
         self.origin_bytes += size
         t = _claim(route.origin_up, t, len(key.encode("utf-8")))
-        self.loop.at(_claim(route.origin_down, t, size), self._fetched, fetch)
+        return _claim(route.origin_down, t, size)
 
     def _fetched(self, t: float, fetch: _Fetch) -> None:
         """A fetch reached the cache node: cache it and deliver it to its waiters."""
@@ -527,7 +612,7 @@ def run_simulation(
     that work.
     """
     sim = _Simulation(topology, kb, trace, mode)
-    sim.loop.run(sim.schedule_trace(), sim._at_cache)
+    sim.loop.run(sim.schedule_trace(), sim._at_cache, sim._fetched)
     unserved = next((r for r in sim.records if r.served_from is None), None)
     if unserved is not None:
         raise SimulationError(f"request {unserved.request_id} was never served")

@@ -8,6 +8,7 @@ sharing code with semcache.cache:
   hit, a refreshing re-insert or a prefetch credit.
 * FIFO evicts the entry inserted first; a refresh keeps its place.
 * Entries touched (or inserted) at the same time go by operation order.
+* ``key in cache`` touches nothing and counts nothing.
 * A cached key keeps its size: re-inserting it with another size raises
   ValueError, and a refused operation changes nothing.
 
@@ -62,6 +63,9 @@ class ReferenceCache:
             if item.key == key:
                 return item
         return None
+
+    def __contains__(self, key):
+        return self._find(key) is not None
 
     def used(self):
         return sum(i.size for i in self.items)

@@ -145,6 +145,21 @@ class TestRunSweep:
         # The trace's entries once, plus generate_trace.
         assert calls["describe"] == len(trace) + by_generate
 
+    def test_one_level_pass_per_access_link(self, kb, monkeypatch):
+        """A location sweep's one trace works out its arrivals at each cache
+        depth once, from the depth a link shorter, and every run shares
+        them: one sort per access link, three in all, where working them out
+        per run took twelve."""
+        sorts = []
+
+        def counting_sorted(*args, **kwargs):
+            sorts.append(1)
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(sim_module, "sorted", counting_sorted, raising=False)
+        self.location_sweep(kb)
+        assert len(sorts) == 3
+
     def test_topology_run_knobs_reach_every_point(self, kb):
         """A sweep runs its topology's eviction policy and prefetch cap: each
         point equals a direct run on that topology, and Semantic prefetches

@@ -7,6 +7,8 @@ import weakref
 from dataclasses import replace
 from unittest import mock
 
+from collections import deque
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -27,12 +29,13 @@ from semcache.sim import (
     _Channel,
     _claim,
     _EventLoop,
+    _PreparedTrace,
     _Simulation,
     run_simulation,
 )
 from semcache.workload import TraceEntry
 
-from hop_by_hop import HopByHop, access_up, run_hop_by_hop
+from reference_sim import ReferenceSim, run_reference
 
 PAIR_KB = """\
 "wiki/Alice" spouse "wiki/Bob"
@@ -144,6 +147,47 @@ class TestEventLoop:
         loop.run([(5.0, "first"), (second, "second")], arrive)
         assert ran == expected
 
+    def _land_contend(self, arrival_time):
+        arrivals = []
+        claim = self._claimant(arrivals)
+        loop = _EventLoop()
+        # A landing at 5 ms claims the contended channel, as a landing
+        # delivers over its cell's links.
+        loop.landings.append((5.0, "landing"))
+        loop.run([(arrival_time, "arrival")], claim, claim)
+        return arrivals
+
+    def test_arrival_runs_before_equal_time_landing(self):
+        assert self._land_contend(5.0) == [(6.0, "arrival"), (7.0, "landing")]
+
+    def test_later_arrival_waits_for_landing(self):
+        assert self._land_contend(5.5) == [(6.0, "landing"), (7.0, "arrival")]
+
+    def test_equal_time_landings_run_in_launch_order(self):
+        ran = []
+        loop = _EventLoop()
+        loop.landings.extend([(5.0, "first"), (5.0, "second"), (6.0, "late")])
+        loop.run(land=lambda t, arg: ran.append((t, arg)))
+        assert ran == [(5.0, "first"), (5.0, "second"), (6.0, "late")]
+
+    @pytest.mark.parametrize(
+        "second, landing, expected",
+        [(5.0, 5.0, ["first", "second", "landing"]), (7.0, 6.0, ["first", "landing", "second"])],
+    )
+    def test_landing_queued_by_an_arrival(self, second, landing, expected):
+        """The first arrival's handler queues a landing at ``landing``: it
+        runs after an arrival at its own time and before a later one."""
+        ran = []
+        loop = _EventLoop()
+
+        def arrive(t, name):
+            ran.append(name)
+            if name == "first":
+                loop.landings.append((landing, "landing"))
+
+        loop.run([(5.0, "first"), (second, "second")], arrive, lambda t, arg: ran.append(arg))
+        assert ran == expected
+
     @pytest.mark.parametrize("hop_first", [True, False])
     def test_loop_hop_and_handler_send_claim_in_pop_order(self, hop_first):
         """At 5 ms the loop pops the event of a message's hop to the contended
@@ -165,7 +209,8 @@ class TestEventLoop:
     def test_delivery_completes_at_last_link(self, k):
         """``_Simulation._deliver`` in each of ``k`` cells, at every cache
         location: the record completes at the chained claims over the links
-        from the cache node down to the UE, and the loop's heap stays empty."""
+        from the cache node down to the UE, and the loop's heap and landing
+        queue stay empty."""
         specs = [LinkSpec(1.0 + i, 500.0 * (i + 1)) for i in range(4)]
         depths = {CacheLocation.ENODEB: 1, CacheLocation.SGW: 2, CacheLocation.PGW: 3}
         for location, depth in depths.items():
@@ -178,7 +223,7 @@ class TestEventLoop:
                 record = types.SimpleNamespace(cell_id=cell, completed_at=0.0)
                 sim._deliver(record, 3.0, 1200, ServedFrom.CACHE)
                 assert record.completed_at == expected
-                assert sim.loop._heap == []
+                assert sim.loop._heap == [] and not sim.loop.landings
 
 
 _LINK = st.builds(
@@ -197,20 +242,12 @@ _IRIS = ("a", "bb", "cccc")
 
 class TestAccessArrivalsMatchHopByHop:
     """``schedule_trace``'s arrivals at the cache node, worked out before the
-    run, and their order are those of the same requests sent hop by hop by
-    ``HopByHop.send`` as they are issued, over each cell's ``access_up``."""
+    run, and their order are those at which the reference simulator's
+    requests, sent one link per step, reach the cache node: for a trace
+    private to the run, and for a shared trace that extends the arrivals
+    it stored at the eNodeB."""
 
-    @staticmethod
-    def _sim(simulation, links, cells, location, steps):
-        kb = load_knowledge_base(
-            io.StringIO("".join(f'"{iri}" type Person\n"{iri}" size 10\n' for iri in _IRIS))
-        )
-        trace, time = [], 0.0
-        for gap, cell, iri in steps:
-            time += gap
-            trace.append(TraceEntry(time, 0, cell % cells, iri))
-        topology = Topology(cells, *links, cache_location=location)
-        return simulation(topology, kb, trace, Mode.TRADITIONAL)
+    TRIPLES = [(iri, p, o) for iri in _IRIS for p, o in (("type", "Person"), ("size", 10))]
 
     @given(
         links=st.lists(_TIE_LINK, min_size=4, max_size=4),
@@ -235,33 +272,43 @@ class TestAccessArrivalsMatchHopByHop:
     )
     @settings(max_examples=300, deadline=None)
     def test_same_arrivals_and_channels(self, links, cells, location, steps):
-        sim = self._sim(_Simulation, links, cells, location, steps)
-        claimed = [(t.hex(), record.request_id) for t, record in sim.schedule_trace()]
+        kb = load_knowledge_base(
+            io.StringIO("".join(f'"{s}" {p} {o}\n' for s, p, o in self.TRIPLES))
+        )
+        trace, time = [], 0.0
+        for gap, cell, iri in steps:
+            time += gap
+            trace.append(TraceEntry(time, 0, cell % cells, iri))
+        topology = Topology(cells, *links, cache_location=location)
+        reference = ReferenceSim(topology, self.TRIPLES, trace, Mode.TRADITIONAL).run()
+        expected = [(t.hex(), i) for t, i in reference.reached]
 
-        hop_by_hop = self._sim(HopByHop, links, cells, location, steps)
-        arrived = []
-        trace = hop_by_hop.trace
-        ups = access_up(hop_by_hop.topology)
-
-        def send(t, i):
-            path = ups[trace[i].cell_id]
-            hop_by_hop.send(path, t, trace.nbytes[i], lambda t, i: arrived.append((t.hex(), i)), i)
-
-        hop_by_hop.loop.run(((entry.time_ms, i) for i, entry in enumerate(trace)), send)
-        assert claimed == arrived
+        sim = _Simulation(topology, kb, trace, Mode.TRADITIONAL)
+        assert [(t.hex(), record.request_id) for t, record in sim.schedule_trace()] == expected
+        shared = _PreparedTrace(trace, kb, cells)
+        shared.arrivals(sim.access_links[:1])
+        times, order = shared.arrivals(sim.access_links)
+        assert [(times[i].hex(), i) for i in order] == expected
 
 
 class TestHeapEvents:
     """A request claims its links up to the cache node before the run, and
     a delivery claims its links at once when it leaves the cache node, so
-    neither costs a heap event.  A miss's fetch costs one event where it
-    lands, and from an eNodeB cache one more where it reaches the S-GW,
-    whose uplink merges the cells' fetches: 2/1/1 events.  A hit takes
-    none."""
+    neither costs an event.  A miss's fetch from an eNodeB cache costs two
+    heap events: one where it reaches the S-GW, whose uplink merges the
+    cells' fetches, and one where it lands.  From an S-GW or P-GW cache it
+    costs none: its landing joins the queue of landings, in launch order.
+    So a miss costs 2/0/0 heap events and 0/1/1 landings.  A hit costs
+    nothing."""
 
     @pytest.fixture
     def count(self, monkeypatch):
-        count = {"pops": 0, "pushes": 0}
+        count = {"pops": 0, "pushes": 0, "landings": 0}
+
+        class Landings(deque):
+            def append(self, landing):
+                count["landings"] += 1
+                super().append(landing)
 
         def heappop(heap):
             count["pops"] += 1
@@ -273,22 +320,24 @@ class TestHeapEvents:
 
         shim = types.SimpleNamespace(heappop=heappop, heappush=heappush)
         monkeypatch.setattr(sim_module, "heapq", shim)
+        monkeypatch.setattr(sim_module, "deque", Landings)
         return count
 
     @pytest.mark.parametrize(
-        "location, miss_events",
-        [(CacheLocation.ENODEB, 2), (CacheLocation.SGW, 1), (CacheLocation.PGW, 1)],
+        "location, heap_events, landings",
+        [(CacheLocation.ENODEB, 2, 0), (CacheLocation.SGW, 0, 1), (CacheLocation.PGW, 0, 1)],
     )
-    def test_events_per_request(self, count, location, miss_events):
+    def test_events_per_request(self, count, location, heap_events, landings):
         kb = load_knowledge_base(io.StringIO('"wiki/Alice" type Person\n"wiki/Alice" size 500\n'))
         miss = [TraceEntry(0.0, 0, 0, "wiki/Alice")]
+        expected = {"pops": heap_events, "pushes": heap_events, "landings": landings}
         run_simulation(topo(location), kb, miss, Mode.TRADITIONAL)
-        assert count == {"pops": miss_events, "pushes": miss_events}
-        count.update(pops=0, pushes=0)
+        assert count == expected
+        count.update(pops=0, pushes=0, landings=0)
         hit = TraceEntry(10_000.0, 0, 0, "wiki/Alice")
         _, records = run_simulation(topo(location), kb, miss + [hit], Mode.TRADITIONAL)
         assert records[1].served_from is ServedFrom.CACHE
-        assert count == {"pops": miss_events, "pushes": miss_events}
+        assert count == expected
 
 
 class TestDeliveryLinks:
@@ -360,14 +409,25 @@ _ENTITIES = st.lists(
 _STEP = st.tuples(st.sampled_from([0.0, 1.0, 100.0, 1000.0]), st.integers(0, 2), st.integers(0, 5))
 
 
+def _triples(entities):
+    """The KB of ``entities``, each ``(IRI, (kind, size, related))``, as
+    ``(subject, predicate, object)`` triples: a Person's related entities
+    are its spouses, a TVSeries's its stars."""
+    triples = []
+    for iri, (kind, size, related) in entities:
+        predicate = "spouse" if kind == "Person" else "starring"
+        triples += [(iri, "type", kind), (iri, "size", size)]
+        triples += [(iri, predicate, entities[j % len(entities)][0]) for j in related]
+    return triples
+
+
 def _kb_and_trace(entities, steps, cells):
     """A KB of ``entities``, each ``(IRI, (kind, size, related))``, and a
     trace of ``steps``, in which user and cell are the step's cell."""
-    lines = []
-    for iri, (kind, size, related) in entities:
-        predicate = "spouse" if kind == "Person" else "starring"
-        lines += [f'"{iri}" type {kind}', f'"{iri}" size {size}']
-        lines += [f'"{iri}" {predicate} "{entities[j % len(entities)][0]}"' for j in related]
+    lines = [
+        f'"{s}" {p} "{o}"' if p not in ("type", "size") else f'"{s}" {p} {o}'
+        for s, p, o in _triples(entities)
+    ]
     kb = load_knowledge_base(io.StringIO("\n".join(lines) + "\n"))
     trace, time = [], 0.0
     for gap, cell, entity in steps:
@@ -377,10 +437,23 @@ def _kb_and_trace(entities, steps, cells):
     return kb, trace
 
 
+# Requests from three cells over the default links: each depth gives them
+# other arrival times.
+_QUEUED = dict(
+    links=[Topology.ue_enb, Topology.enb_sgw, Topology.sgw_pgw, Topology.pgw_inet],
+    entities=[("e0", ("Person", 50_000, [1])), ("e1", ("Person", 20_000, []))],
+    steps=[(0.0, 0, 0), (1.0, 1, 1), (0.0, 2, 0)],
+    cells=3,
+    eviction="lru",
+    max_prefetch=None,
+)
+
+
 class TestRunsMatchHopByHop:
-    """Claiming runs of links at once changes no simulated number: every
-    run matches ``HopByHop``'s, which sends each fetch and delivery one link
-    per heap event."""
+    """Claiming runs of links at once, and landing an S-GW or P-GW cache's
+    fetches in launch order, change no simulated number: every run matches
+    the reference simulator's, which sends every message one link per step
+    and takes each step from a plain list."""
 
     # The S-GW merge: the fetch for cccccccc leaves cell 0's eNodeB first,
     # but its 8 bytes take 8 ms to reach the S-GW, so a's fetch from cell 1
@@ -397,7 +470,8 @@ class TestRunsMatchHopByHop:
     )
 
     @staticmethod
-    def _run(run, links, entities, steps, cells, location, mode, eviction, max_prefetch):
+    def _inputs(links, entities, steps, cells, location, mode, eviction, max_prefetch):
+        """``run_simulation``'s arguments for a scenario."""
         kb, trace = _kb_and_trace(entities, steps, cells)
         topology = Topology(
             cells,
@@ -407,7 +481,7 @@ class TestRunsMatchHopByHop:
             eviction=eviction,
             max_prefetch=max_prefetch,
         )
-        return run(topology, kb, trace, mode)
+        return topology, kb, trace, mode
 
     @given(
         links=st.lists(_TIE_LINK, min_size=4, max_size=4),
@@ -431,16 +505,83 @@ class TestRunsMatchHopByHop:
         eviction="lru",
         max_prefetch=None,
     )
+    # Two equal-time misses: both requests reach the S-GW at 15.0008 ms, and
+    # their fetches claim its uplink in the order the requests arrived.
+    @example(
+        links=[Topology.ue_enb, Topology.enb_sgw, Topology.sgw_pgw, Topology.pgw_inet],
+        entities=[("a", ("Person", 10_000, [])), ("b", ("TVSeries", 20_000, []))],
+        steps=[(0.0, 0, 0), (0.0, 1, 1)],
+        cells=2,
+        location=CacheLocation.SGW,
+        mode=Mode.TRADITIONAL,
+        eviction="lru",
+        max_prefetch=None,
+    )
+    # ``TestEvictionTie``'s case, its sizes scaled to this cache: equal-time
+    # hits on a and b, then c evicts the one hit first.
+    @example(
+        links=[Topology.ue_enb, Topology.enb_sgw, Topology.sgw_pgw, Topology.pgw_inet],
+        entities=[(f"wiki/{e}", ("Person", 50_000, [])) for e in "abc"],
+        steps=[(0.0, 0, 0), (0.0, 1, 1), (1000.0, 0, 0), (0.0, 1, 1), (1000.0, 0, 2),
+               (1000.0, 0, 0), (0.0, 1, 1)],
+        cells=2,
+        location=CacheLocation.SGW,
+        mode=Mode.TRADITIONAL,
+        eviction="lru",
+        max_prefetch=None,
+    )
+    # ``TestArrivalAsFetchLands``' case: the second request reaches its
+    # eNodeB cache at 374 ms, as the first request's fetch lands.
+    @example(
+        links=[LinkSpec(delay, 1.0) for delay in (10.0, 5.0, 5.0, 20.0)],
+        entities=[("a", ("Person", 100, [])), ("b", ("Person", 100, []))],
+        steps=[(0.0, 0, 0), (363.0, 0, 0)],
+        cells=1,
+        location=CacheLocation.ENODEB,
+        mode=Mode.TRADITIONAL,
+        eviction="lru",
+        max_prefetch=None,
+    )
+    # The same at an S-GW cache, whose landings queue in launch order: the
+    # second request reaches it at 269 ms, as the first one's fetch lands.
+    @example(
+        links=[LinkSpec(delay, 1.0) for delay in (10.0, 5.0, 5.0, 20.0)],
+        entities=[("a", ("Person", 100, [])), ("b", ("Person", 100, []))],
+        steps=[(0.0, 0, 0), (252.0, 0, 0)],
+        cells=1,
+        location=CacheLocation.SGW,
+        mode=Mode.TRADITIONAL,
+        eviction="lru",
+        max_prefetch=None,
+    )
+    # ``TestAccessArrivalsMatchHopByHop``'s S-GW tie: the second and third
+    # requests reach the S-GW together, in the reverse of their trace order
+    # at the eNodeB, and claim the P-GW uplink in their eNodeB order.
+    @example(
+        links=[LinkSpec(0.0, 2.0), LinkSpec(0.0, 1.0), LinkSpec(0.0, 1e6), LinkSpec(0.0, 1.0)],
+        entities=[("cccc", ("Person", 10_000, [])), ("a", ("Person", 10_000, []))],
+        steps=[(0.0, 1, 0), (1.0, 0, 0), (0.0, 1, 1)],
+        cells=2,
+        location=CacheLocation.PGW,
+        mode=Mode.TRADITIONAL,
+        eviction="lru",
+        max_prefetch=None,
+    )
+    # ``TestSharedArrivals.QUEUED`` at the P-GW, with a prefetch.
+    @example(**_QUEUED, location=CacheLocation.PGW, mode=Mode.SEMANTIC)
     @settings(max_examples=300, deadline=None)
     def test_same_report_and_records(self, **scenario):
-        def outcome(run):
-            report, records = self._run(run, **scenario)
-            return repr(report), [(r.completed_at.hex(), r.served_from) for r in records]
-
-        assert outcome(run_simulation) == outcome(run_hop_by_hop)
+        topology, kb, trace, mode = self._inputs(**scenario)
+        report, records = run_simulation(topology, kb, trace, mode)
+        triples = _triples(scenario["entities"])
+        expected, completions = run_reference(topology, triples, trace, mode)
+        assert repr(report) == repr(expected)
+        assert [(r.completed_at.hex(), r.served_from) for r in records] == [
+            (t.hex(), served_from) for t, served_from in completions
+        ]
 
     def test_sgw_merge(self):
-        _, records = self._run(run_simulation, **self.SGW_MERGE)
+        _, records = run_simulation(*self._inputs(**self.SGW_MERGE))
         assert [round(r.completed_at, 6) for r in records] == [483.500101, 383.500101]
 
 
@@ -451,16 +592,7 @@ class TestSharedArrivals:
     list of its entries."""
 
     RUNS = [(location, mode) for location in CacheLocation for mode in Mode]
-    # Requests from three cells over the default links: each depth gives
-    # them other arrival times.
-    QUEUED = dict(
-        links=[Topology.ue_enb, Topology.enb_sgw, Topology.sgw_pgw, Topology.pgw_inet],
-        entities=[("e0", ("Person", 50_000, [1])), ("e1", ("Person", 20_000, []))],
-        steps=[(0.0, 0, 0), (1.0, 1, 1), (0.0, 2, 0)],
-        cells=3,
-        eviction="lru",
-        max_prefetch=None,
-    )
+    QUEUED = _QUEUED
 
     @given(
         links=st.lists(_TIE_LINK, min_size=4, max_size=4),
@@ -498,6 +630,23 @@ class TestSharedArrivals:
 
         for location, mode in runs:
             assert outcome(location, mode, prepared) == outcome(location, mode, list(trace))
+
+    def test_a_private_trace_stores_no_arrivals(self, monkeypatch):
+        """``run_simulation`` on a plain list prepares a trace that no other
+        run can read, so it works out its arrivals and stores none."""
+        prepared = []
+
+        class Kept(_PreparedTrace):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                prepared.append(self)
+
+        monkeypatch.setattr(sim_module, "_PreparedTrace", Kept)
+        trace = [TraceEntry(0.0, 0, 0, "wiki/Alice"), TraceEntry(1.0, 1, 1, "wiki/Bob")]
+        for location in CacheLocation:
+            _, records = run_simulation(topo(location, cells=2), pair_kb(), trace, Mode.SEMANTIC)
+            assert all(r.served_from is not None for r in records)
+        assert [p._arrivals for p in prepared] == [{}, {}, {}]
 
 
 def _round_trip(topology, depth, t, record, kb):
@@ -1107,6 +1256,83 @@ class TestValidation:
         ]
         with pytest.raises(SimulationError, match="request 1 "):
             run_simulation(topo(), pair_kb(), trace, Mode.TRADITIONAL)
+
+
+def _first_fault(trace, kb, cells):
+    """The README's per-entry rule: the first entry with a fault, and its
+    first fault, as ``(exception type, message)``; None for a clean trace.
+    An entry is checked for time order, then for a known IRI, then for int
+    ids (``user_id`` first), then for its cell range."""
+    previous = 0.0
+    for idx, entry in enumerate(trace):
+        if entry.time_ms < previous:
+            return UnsortedTrace, f"trace entry {idx} is earlier than its predecessor"
+        previous = entry.time_ms
+        if entry.entity_iri not in kb:
+            return UnknownEntity, f"entity {entry.entity_iri!r} is not in the knowledge base"
+        for name in ("user_id", "cell_id"):
+            value = getattr(entry, name)
+            if type(value) is not int:
+                return SimulationError, f"trace entry {idx}: {name} must be an int, got {value!r}"
+        if not 0 <= entry.cell_id < cells:
+            return SimulationError, f"trace entry {idx}: cell {entry.cell_id} outside topology"
+    return None
+
+
+# (field, value): a fault to inject into an entry.  A ``time_ms`` of None
+# stands for half a millisecond before the previous entry.
+_FAULT = st.one_of(
+    st.tuples(st.just("time_ms"), st.none()),
+    st.tuples(st.just("entity_iri"), st.just("wiki/Nope")),
+    st.tuples(st.sampled_from(["user_id", "cell_id"]), st.sampled_from([True, False, 0.0, 1.5])),
+    st.tuples(st.just("cell_id"), st.sampled_from([-1, 2, 5])),
+)
+
+
+class TestPreparationFaults:
+    """A trace is prepared in one bulk pass, and only a trace with a fault
+    is checked entry by entry: the error raised is the per-entry rule's,
+    type and message, whatever faults the trace holds and in whatever
+    order.  A clean trace gets each entry's descriptor and IRI byte length."""
+
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0]),
+                st.integers(0, 1),
+                st.sampled_from(["wiki/Alice", "wiki/Bob"]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        faults=st.lists(st.tuples(st.integers(0, 7), _FAULT), max_size=3),
+    )
+    @example(steps=[(0.0, 0, "wiki/Alice")] * 3, faults=[(2, ("time_ms", None))])
+    @example(
+        steps=[(0.0, 0, "wiki/Alice")] * 3,
+        faults=[(2, ("cell_id", 2)), (1, ("user_id", True)), (1, ("entity_iri", "wiki/Nope"))],
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_first_fault_by_the_per_entry_rule(self, steps, faults):
+        trace, time = [], 1.0
+        for gap, cell, iri in steps:
+            time += gap
+            trace.append(TraceEntry(time, cell, cell, iri))
+        for index, (field, value) in faults:
+            i = index % len(trace)
+            if field == "time_ms":
+                value = max(trace[i - 1].time_ms - 0.5, 0.0) if i else 0.0
+            trace[i] = replace(trace[i], **{field: value})
+        kb = pair_kb()
+        expected = _first_fault(trace, kb, 2)
+        if expected is None:
+            prepared = _PreparedTrace(trace, kb, 2)
+            assert prepared.descriptors == [kb.describe(entry.entity_iri) for entry in trace]
+            assert prepared.nbytes == [len(entry.entity_iri.encode()) for entry in trace]
+        else:
+            with pytest.raises(Exception) as raised:
+                _PreparedTrace(trace, kb, 2)
+            assert (type(raised.value), str(raised.value)) == expected
 
 
 def swept_trace(kb, topology, workload):
