@@ -23,6 +23,7 @@ import enum
 import io
 import json
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import replace
@@ -57,12 +58,21 @@ class ConfigError(Exception):
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write via a temp file in the target directory; rename on success."""
+    """Write via a temp file in the target directory; rename on success.
+    The file gets the mode ``open(path, "w")`` would leave: an existing
+    file's, or ``0o666`` less the umask (``mkstemp`` creates 0600)."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)  # read by setting it back
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

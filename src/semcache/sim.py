@@ -233,79 +233,48 @@ class _PreparedTrace(list):
                 raise SimulationError(f"trace entry {idx}: cell {entry.cell_id} outside topology")
             entry.entity_iri.encode("utf-8")  # its byte length is taken last
 
-    def arrivals(self, links: tuple[LinkSpec, ...]) -> tuple[Sequence[float], Sequence[int]]:
+    def arrivals(self, links: tuple[LinkSpec, ...]) -> tuple[list[float], Sequence[int]]:
         """Each request's arrival time at the end of ``links``, the access
         links from the UE up to a cache node, and the request ids in the
         order they arrive there.
 
         Only requests cross these links, so their claims depend on nothing
-        but the trace and the links.  A shared trace works each run of links
-        out once, from the run a link shorter, and both modes and every
-        cache location share it.  It is stored as two arrays, 8 bytes a
-        number; a run just worked out is returned as the lists it was worked
-        out in.  A private trace stores nothing.
+        but the trace and the links.  The last link is claimed in the order
+        of ``arrivals(links[:-1])``, or for a single link in trace order from
+        the trace's times, and a stable sort keeps that order on ties, as
+        hop-by-hop claims would.  Below the S-GW each cell has its own
+        channel on a link, and above it one channel serves every cell.
+        ``_claim``'s law is written out, each channel held as its
+        ``busy_until``: a call per request and level costs more.
 
-        The first link is claimed in trace order and each later one in order
-        of arrival at the node before it.  A stable sort keeps the previous
-        level's order on ties, as hop-by-hop claims would.  Below the S-GW
-        each cell has its own channel on a link, and above it one channel
-        serves every cell.  ``_claim``'s law is written out, each channel
-        held as its ``busy_until``: a call per request and level costs more."""
+        A shared trace stores each run of links it works out, as two arrays
+        of 8 bytes a number, so both modes and every cache location share
+        it; a private trace stores nothing.  The times come back as a list
+        the caller may write: a stored run's are copied."""
         found = self._arrivals.get(links)
         if found is not None:
-            return found
-        depth = len(links) - 1
-        while depth and links[:depth] not in self._arrivals:
-            depth -= 1
+            times, order = found
+            return list(times), order
         # Lists of floats and ints, not a tuple per request and level: tuples
         # that live across levels set off the garbage collector.
-        sizes = self.nbytes
-        if depth:
-            # Copies: the stored arrays stay the shorter run's.
-            times, order = map(list, self._arrivals[links[:depth]])
-        elif len(links) < _SGW:
-            times, order = list(self.times), range(len(self))
+        if len(links) > 1:
+            times, order = self.arrivals(links[:-1])
         else:
-            # A cell's two own links in one pass, in trace order: FIFO keeps
-            # each cell's requests in trace order at its eNodeB.  Ties at the
-            # S-GW keep the order of arrival at the eNodeB, so that is
-            # sorted first.
-            (d0, b0), (d1, b1) = (
-                (spec.propagation_delay_ms, spec.bandwidth_bytes_per_ms) for spec in links[:_SGW]
-            )
-            to_enb, to_sgw = [0.0] * self.cells, [0.0] * self.cells
-            at_enb, times = [], []
-            for t, c, size in zip(self.times, self.cell_ids, sizes):
-                busy = to_enb[c]
-                busy = to_enb[c] = (busy if busy > t else t) + size / b0
-                t = busy + d0
-                at_enb.append(t)
-                busy = to_sgw[c]
-                busy = to_sgw[c] = (busy if busy > t else t) + size / b1
-                times.append(busy + d1)
-            order = sorted(range(len(self)), key=at_enb.__getitem__)
-            self._keep(links[:1], at_enb, order)
-            order = sorted(order, key=times.__getitem__)
-            self._keep(links[:_SGW], times, order)
-            depth = _SGW
-        for level in range(depth, len(links)):
-            delay = links[level].propagation_delay_ms
-            bandwidth = links[level].bandwidth_bytes_per_ms
-            channel = self.cell_ids if level < _SGW else [0] * len(self)  # each request's channel
-            busy_until = [0.0] * self.cells
-            for i in order:
-                c = channel[i]
-                t = times[i]
-                busy = busy_until[c]
-                busy = busy_until[c] = (busy if busy > t else t) + sizes[i] / bandwidth
-                times[i] = busy + delay
-            order = sorted(order, key=times.__getitem__)
-            self._keep(links[: level + 1], times, order)
-        return times, order
-
-    def _keep(self, links: tuple[LinkSpec, ...], times: list[float], order: list[int]) -> None:
+            times, order = list(self.times), range(len(self))
+        delay, bandwidth = links[-1].propagation_delay_ms, links[-1].bandwidth_bytes_per_ms
+        channel = self.cell_ids if len(links) <= _SGW else [0] * len(self)  # each request's channel
+        busy_until = [0.0] * self.cells
+        sizes = self.nbytes
+        for i in order:
+            c = channel[i]
+            t = times[i]
+            busy = busy_until[c]
+            busy = busy_until[c] = (busy if busy > t else t) + sizes[i] / bandwidth
+            times[i] = busy + delay
+        order = sorted(order, key=times.__getitem__)
         if self.shared:
             self._arrivals[links] = array("d", times), array("l", order)
+        return times, order
 
     @functools.cached_property
     def overhead(self) -> dict:

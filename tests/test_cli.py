@@ -126,6 +126,35 @@ class TestSimulate:
         assert not out.exists()
         assert list(tmp_path.glob("*.tmp")) == []
 
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+    )
+    def test_output_files_get_the_umask_mode(self, kb_file, trace_file, tmp_path, umask, mode):
+        """Each output file gets the mode a plain ``open(path, "w")`` would
+        give it: ``0o666`` less the umask."""
+        out, records, trace = tmp_path / "m.csv", tmp_path / "r.jsonl", tmp_path / "t.csv"
+        previous = os.umask(umask)
+        try:
+            assert main(["simulate", "--kb", kb_file, "--trace", trace_file,
+                         "--out", str(out), "--records", str(records)]) == 0
+            assert main(["gen-trace", "--kb", kb_file, "--n-users", "2", "--out", str(trace)]) == 0
+        finally:
+            os.umask(previous)
+        assert [path.stat().st_mode & 0o777 for path in (out, records, trace)] == [mode] * 3
+
+    def test_overwritten_output_keeps_its_mode(self, kb_file, trace_file, tmp_path):
+        """An output file that exists keeps its mode, as with ``open(path, "w")``."""
+        out = tmp_path / "m.csv"
+        out.write_text("")
+        out.chmod(0o640)
+        previous = os.umask(0o022)
+        try:
+            assert main(["simulate", "--kb", kb_file, "--trace", trace_file, "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert "hit_ratio" in out.read_text()
+
 
 class TestSweep:
     def test_cache_size_sweep(self, kb_file, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import csv
 import re
 import shlex
 from pathlib import Path
@@ -39,3 +40,39 @@ def test_command_lines_parse():
         program, *argv = shlex.split(line)
         assert program == "semcache"
         parser.parse_args(argv)  # a line that does not parse exits
+
+
+def test_load_map_is_current(tmp_path, monkeypatch):
+    """The load map's sweeps, run as printed, give every value in its table."""
+    from semcache.cli import main
+
+    section = README.read_text(encoding="utf-8").split("## Where the comparison stands", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    table = [line for line in section.splitlines() if line.startswith("| ")][1:]
+    locations = {"enodeb": "eNodeB", "sgw": "S-GW", "pgw": "P-GW"}
+    monkeypatch.chdir(README.parent)  # the commands name the KB from the repository root
+    rows = []
+    for line in block.replace("\\\n", " ").splitlines():
+        program, *argv = shlex.split(line)
+        assert program == "semcache"
+        at = {flag: argv.index(flag) + 1 for flag in ("--cache-location", "--values", "--out")}
+        out = argv[at["--out"]] = str(tmp_path / argv[at["--out"]])
+        assert main(argv) == 0
+        reader = csv.DictReader(Path(out).read_text().splitlines())
+        points = {(r["scenario_sweep_value"], r["mode"]): r for r in reader}
+        for users in argv[at["--values"] : at["--out"] - 1]:
+            sem, trad = points[users, "semantic"], points[users, "traditional"]
+            latency = [float(r["mean_latency_ms"]) for r in (sem, trad)]
+            hits = [float(r["hit_ratio"]) for r in (sem, trad)]
+            cells = (
+                locations[argv[at["--cache-location"]]],
+                users,
+                f"{100 * (latency[1] - latency[0]) / latency[1]:+.1f}%",
+                f"{100 * (hits[0] - hits[1]) / hits[1]:+.1f}%",
+                f"{int(sem['origin_bytes']) / 1e6:.1f}",
+                f"{int(trad['origin_bytes']) / 1e6:.1f}",
+                f"{float(sem['useless_prefetch_ratio']):.3f}",
+            )
+            rows.append("| " + " | ".join(cells) + " |")
+    assert len(rows) == 15
+    assert table == rows
