@@ -18,7 +18,14 @@ File format (UTF-8, line oriented, ``#`` comments):
 
 Fields are split and unquoted by POSIX shell rules (``shlex``), so a quoted
 IRI may hold spaces or ``\\"`` and a line may end in a ``# comment``.  An
-IRI must not hold a control character (U+0000-U+001F or U+007F).
+IRI must not hold a control character (U+0000-U+001F or U+007F).  A file
+read from a path may start with a UTF-8 byte-order mark.
+
+Most lines need no ``shlex``: a plain line (quoted IRIs with nothing
+``shlex`` treats specially, a lowercase keyword, no comment, no padding but
+its newline) is split by one regex match on the raw line.  Only the other
+lines are stripped and skipped if blank or a comment, then split by the same
+regex or, failing that, by ``shlex``; both paths give the same tokens.
 """
 
 from __future__ import annotations
@@ -124,11 +131,13 @@ def infer_next(kb: KnowledgeBase, current: MetadataDescriptor) -> tuple[Metadata
 
 
 # A plain line: a quoted subject IRI, a lowercase keyword, then a quoted IRI
-# or an alphanumeric value.  Its quoted IRIs hold nothing ``shlex`` treats
-# specially (whitespace, quotes, backslashes, ``#``), so the three groups
-# are exactly the tokens ``shlex.split`` would return.
+# or an alphanumeric value, and at most a trailing newline.  Its quoted IRIs
+# hold nothing ``shlex`` treats specially (whitespace, quotes, backslashes,
+# ``#``), so the groups are exactly the tokens ``shlex.split`` would return.
+# It starts with ``"`` and ends, before the newline, on a non-whitespace
+# character, so a raw line that matches is its own stripped line.
 _IRI = r'"([^\s"\'\\#]+)"'
-_PLAIN_LINE = re.compile(rf"{_IRI}[ \t]+([a-z]+)[ \t]+(?:{_IRI}|([A-Za-z0-9]+))")
+_PLAIN_LINE = re.compile(rf"{_IRI}[ \t]+([a-z]+)[ \t]+(?:{_IRI}|([A-Za-z0-9]+))\n?")
 
 
 def _plain_tokens(line: str) -> tuple[str, str, str] | None:
@@ -147,9 +156,10 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
     """Parse the triple file format into a validated KnowledgeBase.
 
     Duplicate triples are deduplicated; line order never affects the result.
+    A path is read as UTF-8, a leading byte-order mark ignored.
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
+        with open(source, encoding="utf-8-sig") as fh:
             return load_knowledge_base(fh)
 
     # Relation objects are collected as lists and deduplicated once per
@@ -161,27 +171,33 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
     # Every IRI is kept as the first str object read for it, so that all the
     # tables share one object per IRI instead of one per occurrence.
     iris: dict[str, str] = {}
+    plain = _PLAIN_LINE.fullmatch
 
     for line_no, line in enumerate(source, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = _plain_tokens(stripped)
-        if tokens is None:
-            try:
-                tokens = shlex.split(stripped, comments=True)
-            except ValueError as exc:
-                raise ParseError(line_no, f"bad quoting: {exc}") from None
-        if len(tokens) != 3:
-            raise ParseError(line_no, f"expected 3 fields, got {len(tokens)}")
-        subject, keyword, value = tokens
-        if not subject:
-            raise ParseError(line_no, "empty subject IRI")
+        match = plain(line)
+        if match is not None:
+            subject, keyword, iri, bare = match.groups()
+            value = iri or bare
+        else:
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            tokens = _plain_tokens(stripped)
+            if tokens is None:
+                try:
+                    tokens = shlex.split(stripped, comments=True)
+                except ValueError as exc:
+                    raise ParseError(line_no, f"bad quoting: {exc}") from None
+            if len(tokens) != 3:
+                raise ParseError(line_no, f"expected 3 fields, got {len(tokens)}")
+            subject, keyword, value = tokens
+            if not subject:
+                raise ParseError(line_no, "empty subject IRI")
         subject = iris.setdefault(subject, subject)
         if keyword == "type":
-            if value not in _KIND_NAMES:
+            kind = _KIND_NAMES.get(value)
+            if kind is None:
                 raise ParseError(line_no, f"unknown kind {value!r}")
-            kind = _KIND_NAMES[value]
             known = descriptors.get(subject)
             if known is None:
                 try:
@@ -198,9 +214,8 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
                 raise ParseError(line_no, f"size is not an integer: {value!r}") from None
             if size <= 0:
                 raise ParseError(line_no, f"size must be positive, got {size}")
-            if sizes.get(subject, size) != size:
+            if sizes.setdefault(subject, size) != size:
                 raise ParseError(line_no, f"conflicting size for {subject!r}")
-            sizes[subject] = size
             referenced.setdefault(subject, line_no)
         elif keyword in objects:
             if not value:
@@ -227,8 +242,9 @@ def load_knowledge_base(source: str | Path | TextIO | Iterable[str]) -> Knowledg
         relation = objects[name]
         while relation:  # popping each list frees it as it is converted
             subject, objs = relation.popitem()
-            unique = set(objs)
-            triples += len(unique)
+            if len(objs) > 1:  # a single object needs no set or sort
+                objs = sorted(set(objs))
+            triples += len(objs)
             if descriptors[subject].entity_kind is kind:
-                successors[subject] = tuple(map(descriptors.__getitem__, sorted(unique)))
+                successors[subject] = tuple(map(descriptors.__getitem__, objs))
     return KnowledgeBase(descriptors, sizes, successors, triples)

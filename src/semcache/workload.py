@@ -87,22 +87,41 @@ CSV_HEADER = ["time_ms", "user_id", "cell_id", "entity_iri"]
 
 def load_trace(source: str | Path | TextIO | Iterable[str]) -> list[TraceEntry]:
     """Read a trace CSV, returning entries sorted by time (stable).  The
-    entries hold one ``str`` object per distinct IRI."""
+    entries hold one ``str`` object per distinct IRI.  A path is read as
+    UTF-8, a leading byte-order mark ignored.
+
+    Each row is stripped, and skipped if blank or a comment.  A row holding
+    no ``"``, carriage return, newline or NUL, and no longer than
+    ``csv.field_size_limit()``, is split on ``,``: ``csv.reader`` reads such
+    a row the same.  Every other row goes through ``csv.reader``.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as fh:
+        with open(source, encoding="utf-8-sig", newline="") as fh:
             return load_trace(fh)
 
     entries: list[TraceEntry] = []
     iris: dict[str, str] = {}
+    limit = csv.field_size_limit()
     for line_no, line in enumerate(source, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        try:
-            row = next(csv.reader([stripped]))
-        except csv.Error as exc:
-            raise ParseError(line_no, f"unreadable row: {exc}") from None
-        if [c.strip() for c in row] == CSV_HEADER:
+        # A quote or a line break starts ``csv``'s own parsing of the row,
+        # and Python 3.10's ``csv`` refuses a NUL.
+        if (
+            len(stripped) <= limit
+            and '"' not in stripped
+            and "\r" not in stripped
+            and "\n" not in stripped
+            and "\0" not in stripped
+        ):
+            row = stripped.split(",")
+        else:
+            try:
+                row = next(csv.reader([stripped]))
+            except csv.Error as exc:
+                raise ParseError(line_no, f"unreadable row: {exc}") from None
+        if row[0].strip() == "time_ms" and [c.strip() for c in row] == CSV_HEADER:
             continue
         if len(row) != 4:
             raise ParseError(line_no, f"expected 4 columns, got {len(row)}")

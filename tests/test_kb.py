@@ -10,10 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import semcache
+from semcache import kb as kb_module
 from semcache.cli import main
 from semcache.codec import EntityKind, MetadataDescriptor
 from semcache.kb import (
     KnowledgeBase,
+    KnowledgeBaseError,
     MissingSizeError,
     MissingTypeError,
     ParseError,
@@ -142,6 +144,14 @@ class TestLoad:
         assert main(["validate-kb", "--kb", str(path)]) == 1
         assert "line 2: entity_iri must not contain control characters" in capsys.readouterr().err
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # The mark goes straight before the first triple, with no comment line.
+        text = SMALL_KB.split("\n", 1)[1]
+        plain, marked = tmp_path / "plain.triples", tmp_path / "marked.triples"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert load_knowledge_base(marked) == load_knowledge_base(plain) == small_kb()
+
     @pytest.mark.parametrize("iri", [" wiki/A", "wiki/A\xa0"], ids=["leading-space", "nbsp"])
     def test_edge_whitespace_iri_fails_at_type_line(self, iri):
         text = f'"{iri}" size 100\n"{iri}" type Person\n'
@@ -182,6 +192,19 @@ def _near_plain(draw) -> str:
     return line
 
 
+# A newline as read from a file, CRLF as a plain iterable passes it, and
+# trailing blanks.
+_ENDINGS = ["\n", "\r\n", "  \n", " \t"]
+
+
+def _load_outcome(lines):
+    """The loaded knowledge base, or the type, line and message of its refusal."""
+    try:
+        return load_knowledge_base(lines)
+    except KnowledgeBaseError as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+
+
 class TestPlainTokens:
     """The regex fast path either declines a line or agrees with ``shlex``."""
 
@@ -209,6 +232,18 @@ class TestPlainTokens:
     def test_plain_line_accepted(self, line, tokens):
         assert _plain_tokens(line) == tokens
 
+    @given(line=st.one_of(st.text(_TRICKY, max_size=30), _near_plain()))
+    @example(line='"wiki/A" type Person')
+    @example(line='"wiki/A" size 10 ')
+    @example(line='"wiki/A" spouse ""')
+    @settings(max_examples=500, deadline=None)
+    def test_line_ending_changes_nothing(self, line):
+        """A line loads the same bare, with a newline, with CRLF from a plain
+        iterable and with trailing blanks, whichever path reads it."""
+        expected = _load_outcome([line])
+        for end in _ENDINGS:
+            assert _load_outcome([line + end]) == expected, end
+
     def test_every_reference_line_is_plain(self):
         lines = REFERENCE_KB.read_text(encoding="utf-8").splitlines()
         data = [l for l in map(str.strip, lines) if l and not l.startswith("#")]
@@ -235,11 +270,55 @@ class TestFallback:
         assert {i: kb.kind_of(i) for i in kb.descriptors} == {iri: EntityKind.PERSON}
         assert kb.sizes == {iri: 10}
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '"wiki/A" type Person # a comment',
+            "'wiki/A' type Person",
+            '"wiki/A" type Person  ',
+            '  "wiki/A" type Person',
+            '"wiki/A spouse "wiki/B"',
+            '"wiki/A" size many',
+        ],
+    )
+    def test_line_ending_changes_nothing(self, line):
+        lines = ['"wiki/A" size 10\n', line]
+        expected = _load_outcome(lines)
+        for end in _ENDINGS:
+            assert _load_outcome(lines[:1] + [line + end]) == expected, end
+
     def test_bad_quoting_reports_line(self):
         text = '"wiki/A" type Person\n"wiki/A spouse "wiki/B"\n'
         with pytest.raises(ParseError, match="bad quoting") as exc:
             load_knowledge_base(io.StringIO(text))
         assert exc.value.line_no == 2
+
+
+class TestFallbackCalls:
+    """A plain raw line is split by the regex alone: no line of the reference
+    KB reaches ``_plain_tokens`` or ``shlex``, and only a line that is not
+    plain, such as one ending in a comment, takes the fallback."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+        plain_tokens = kb_module._plain_tokens
+
+        def counted(line):
+            calls.append(line)
+            return plain_tokens(line)
+
+        monkeypatch.setattr(kb_module, "_plain_tokens", counted)
+        return calls
+
+    def test_reference_kb_takes_no_fallback(self, fallbacks):
+        assert len(load_knowledge_base(REFERENCE_KB)) == 200
+        assert fallbacks == []
+
+    def test_commented_line_takes_fallback(self, fallbacks):
+        kb = load_knowledge_base(['"wiki/A" size 10\n', '"wiki/A" type Person # note\n'])
+        assert kb.sizes == {"wiki/A": 10}
+        assert fallbacks == ['"wiki/A" type Person # note']
 
 
 class TestDescribe:

@@ -1,8 +1,13 @@
+import csv
 import io
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from reference_trace import outcome, reference_load_trace
+from semcache import workload
 from semcache.kb import infer_next, load_knowledge_base
+from semcache.reference import reference_kb, reference_workload
 from semcache.workload import (
     EmptyKnowledgeBase,
     ParseError,
@@ -102,6 +107,97 @@ class TestLoadTrace:
         sink = io.StringIO()
         save_trace(trace, sink)
         assert load_trace(io.StringIO(sink.getvalue())) == trace
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        text = "time_ms,user_id,cell_id,entity_iri\r\n5,0,0,wiki/A\r\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert load_trace(marked) == load_trace(plain) == [TraceEntry(5.0, 0, 0, "wiki/A")]
+
+
+# Characters ``csv`` or the loader treat specially, and plain ones.
+_TRICKY_CSV = '",\r\n\0 \t#\xa0ş' + "aZ09./"
+
+# The four fields of a row, valid or not, the header's names among them.
+_ROW_FIELDS = [
+    st.sampled_from(["0", "1.5", " 2.25", "-1", "nan", "1e400", "time_ms", "x"]),
+    st.sampled_from(["0", "3", " 1 ", "user_id", "zero"]),
+    st.sampled_from(["0", "2", "cell_id", "1.0"]),
+    st.sampled_from(["wiki/A", " wiki/B ", "wiki/ş", "entity_iri", "", '"wiki/A,B"']),
+]
+
+
+@st.composite
+def _near_row(draw) -> str:
+    """A four-field row with up to three characters inserted or overwritten."""
+    row = ",".join(draw(field) for field in _ROW_FIELDS)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(row)))
+        row = row[:i] + draw(st.sampled_from(_TRICKY_CSV)) + row[i + draw(st.integers(0, 1)) :]
+    return row
+
+
+class TestLoadTraceDifferential:
+    """``load_trace`` reads every file as the loader that passed each row
+    through ``csv.reader`` did: the same entries, or the same refusal."""
+
+    @given(rows=st.lists(st.one_of(st.text(_TRICKY_CSV, max_size=20), _near_row()), max_size=4))
+    @example(rows=["1,0,0,wiki/A\rB"])
+    @example(rows=["1,0,0,wiki/\0A"])
+    @example(rows=['1,0,0,"wiki/A,B"'])
+    @example(rows=[" time_ms , user_id ,cell_id,\tentity_iri ", "1,0,0,wiki/A"])
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_csv_reader(self, rows):
+        lines = [row + "\n" for row in rows]
+        assert outcome(load_trace, lines) == outcome(reference_load_trace, lines)
+
+    @pytest.fixture
+    def field_limit(self):
+        default = csv.field_size_limit()
+        yield default
+        csv.field_size_limit(default)
+
+    @pytest.mark.parametrize("excess", [-1, 0, 1], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("limit", [None, 16], ids=["default-limit", "limit-16"])
+    def test_field_size_limit(self, field_limit, limit, excess):
+        """A row longer than the limit goes to ``csv``, which refuses a field
+        longer than the limit, however the limit was set."""
+        if limit is not None:
+            csv.field_size_limit(limit)
+        iri = "wiki/" + "a" * ((limit or field_limit) + excess - 5)
+        lines = ["1,0,0,wiki/A\n", f"2,0,0,{iri}\n"]
+        expected = outcome(reference_load_trace, lines)
+        assert outcome(load_trace, lines) == expected
+        assert isinstance(expected, list) is (excess <= 0)
+
+
+class TestLoadTraceFallback:
+    """A row ``csv`` reads as ``str.split`` does never reaches ``csv.reader``."""
+
+    @pytest.fixture
+    def readers(self, monkeypatch):
+        calls = []
+        csv_reader = csv.reader
+
+        def reader(lines):
+            calls.append(lines)
+            return csv_reader(lines)
+
+        monkeypatch.setattr(workload.csv, "reader", reader)
+        return calls
+
+    def test_saved_trace_takes_no_fallback(self, readers):
+        trace = generate_trace(reference_kb(), reference_workload())
+        sink = io.StringIO()
+        save_trace(trace, sink)
+        assert load_trace(io.StringIO(sink.getvalue())) == trace
+        assert readers == []
+
+    def test_quoted_row_takes_fallback(self, readers):
+        entries = load_trace(io.StringIO('2,0,0,wiki/B\n1,0,0,"wiki/A"\n'))
+        assert [e.entity_iri for e in entries] == ["wiki/A", "wiki/B"]
+        assert readers == [['1,0,0,"wiki/A"']]
 
 
 class TestGenerateTrace:
