@@ -35,6 +35,9 @@ and all three cache locations share them.  A trace that a single run
 prepares for itself stores none of them.  A metadata header's size
 depends only on its IRI's UTF-8 byte length, so a Semantic run's overhead
 is counted from the request sizes already worked out, with no header built.
+A run keeps its results in columns indexed by request id, and its records
+are built from them the first time they are read: a sweep, which reads
+none, builds none.
 
 A request carries its metadata to the cache node; there the cache is
 consulted and, in Semantic mode, ``infer_next`` fires (on hits and misses
@@ -54,8 +57,9 @@ import math
 import operator
 from array import array
 from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from semcache.cache import EVICTION_POLICIES, Cache, ContentOrigin
 # Not called here: ``sim.wire_size`` stays importable because the
@@ -163,6 +167,37 @@ class RequestRecord:
     @property
     def latency_ms(self) -> float:
         return self.completed_at - self.issued_at
+
+
+class _Records(Sequence):
+    """A run's records, built from its result columns the first time they
+    are read, then kept; a caller that never reads them builds none.  Holds
+    the columns only, never the run.  A slice is a list, and ``==`` compares
+    the records with a list's or another run's."""
+
+    def __init__(self, *columns: Sequence):
+        self._columns = columns  # user_ids, cell_ids, descriptors, times, completed, served
+
+    @functools.cached_property
+    def _records(self) -> list[RequestRecord]:
+        columns = self._columns
+        del self._columns
+        return list(map(RequestRecord, range(len(columns[0])), *columns))
+
+    def __getitem__(self, i):
+        return self._records[i]
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __iter__(self) -> Iterator[RequestRecord]:
+        return iter(self._records)
+
+    def __eq__(self, other: object) -> bool:
+        return self._records == (other._records if isinstance(other, _Records) else other)
+
+    def __repr__(self) -> str:
+        return repr(self._records)
 
 
 class _PreparedTrace(list):
@@ -321,7 +356,7 @@ def _claim(path: _Path, t: float, nbytes: float) -> float:
 
 
 _Then = Callable[[float, Any], None]  # called as then(arrival time, arg)
-_Waiters = list[RequestRecord]
+_Waiters = list[int]  # request ids
 
 
 @dataclass(frozen=True)
@@ -432,35 +467,37 @@ class _Simulation:
         self.trace = trace
         # Headers are sized before the run, so an IRI too long for one fails first.
         self.overhead = trace.overhead if self.semantic else _NO_OVERHEAD
-        self.records: list[RequestRecord] = []
+        self.cell_ids = trace.cell_ids
+        self.descriptors = trace.descriptors
+        # Each request's result, by request id.
+        self.completed = [0.0] * len(trace)
+        self.served: list[Optional[ServedFrom]] = [None] * len(trace)
         self.origin_bytes = 0  # content bytes fetched from the origin
 
     # -- request lifecycle --------------------------------------------------
 
-    def schedule_trace(self) -> Iterator[tuple[float, RequestRecord]]:
-        """Record each request and return its ``(t, record)`` arrivals at the
-        cache node in the order they run, for ``_at_cache`` to handle.  The
-        prepared trace works them out once for the links up to the node."""
-        trace = self.trace
-        columns = trace.user_ids, trace.cell_ids, trace.descriptors, trace.times
-        self.records = list(map(RequestRecord, range(len(trace)), *columns))
-        times, order = trace.arrivals(self.access_links)
-        return zip(map(times.__getitem__, order), map(self.records.__getitem__, order))
+    def schedule_trace(self) -> Iterator[tuple[float, int]]:
+        """Return each request's ``(t, request id)`` arrival at the cache node
+        in the order they run, for ``_at_cache`` to handle.  The prepared
+        trace works them out once for the links up to the node."""
+        times, order = self.trace.arrivals(self.access_links)
+        return zip(map(times.__getitem__, order), order)
 
-    def _at_cache(self, t: float, record: RequestRecord) -> None:
-        route = self.routes[record.cell_id]
-        key = record.descriptor.entity_iri
+    def _at_cache(self, t: float, i: int) -> None:
+        route = self.routes[self.cell_ids[i]]
+        descriptor = self.descriptors[i]
+        key = descriptor.entity_iri
         if route.cache.lookup(key, t) is not None:
-            self._deliver(record, t, self.sizes[key], ServedFrom.CACHE)
+            self._deliver(i, t, self.sizes[key], ServedFrom.CACHE)
         elif key in route.pending:
             # An in-flight prefetch will bring this content; wait for it
             # instead of fetching again.
-            route.pending[key].append(record)
+            route.pending[key].append(i)
         else:
-            self._fetch(route, key, t, ContentOrigin.DEMAND, [record])
+            self._fetch(route, key, t, ContentOrigin.DEMAND, [i])
 
         if self.semantic:
-            self._launch_prefetches(record, route, t)
+            self._launch_prefetches(descriptor, route, t)
 
     def _fetch(
         self, route: _CellRoutes, key: str, t: float, origin: ContentOrigin, waiters: _Waiters
@@ -502,22 +539,22 @@ class _Simulation:
         for waiter in waiters:
             self._deliver(waiter, t, size, ServedFrom.ORIGIN)
 
-    def _deliver(
-        self, record: RequestRecord, t: float, size: int, served_from: ServedFrom
-    ) -> None:
-        """Send ``size`` bytes from the cache node at ``t`` and stamp ``record``
-        with their arrival at the UE.
+    def _deliver(self, i: int, t: float, size: int, served_from: ServedFrom) -> None:
+        """Send ``size`` bytes from the cache node at ``t`` and note their
+        arrival at the UE as request ``i``'s completion.
 
         All the links are claimed now: cells share only the links above the
         S-GW, which can only be first on an ``access_down`` path, so each
         link after the first is fed only by the link before it."""
-        record.served_from = served_from
-        record.completed_at = _claim(self.routes[record.cell_id].access_down, t, size)
+        self.served[i] = served_from
+        self.completed[i] = _claim(self.routes[self.cell_ids[i]].access_down, t, size)
 
     # -- prefetch path ------------------------------------------------------
 
-    def _launch_prefetches(self, record: RequestRecord, route: _CellRoutes, t: float) -> None:
-        for predicted in infer_next(self.kb, record.descriptor)[: self.max_prefetch]:
+    def _launch_prefetches(
+        self, descriptor: MetadataDescriptor, route: _CellRoutes, t: float
+    ) -> None:
+        for predicted in infer_next(self.kb, descriptor)[: self.max_prefetch]:
             key = predicted.entity_iri
             if key in route.cache or key in route.pending:
                 continue
@@ -534,18 +571,19 @@ class _Simulation:
         prefetched_hit = sum(s.prefetched_bytes_hit for s in stats)
         useless = prefetched - prefetched_hit
 
+        n = len(self.trace)
         total = 0.0  # left to right, as ``sum`` compensates from Python 3.12 on
-        for r in self.records:
-            total += r.completed_at - r.issued_at
-        mean_latency = total / len(self.records) if self.records else 0.0
+        for completed, issued in zip(self.completed, self.trace.times):
+            total += completed - issued
+        mean_latency = total / n if n else 0.0
 
         scenario = self.topology.scenario_dict()
         scenario["seed"] = seed
-        scenario["requests"] = len(self.trace)
+        scenario["requests"] = n
 
         return MetricsReport(
             mode=self.mode.value,
-            requests_total=len(self.records),
+            requests_total=n,
             hits=hits,
             lookups=lookups,
             hit_ratio=hits / lookups if lookups else 0.0,
@@ -570,8 +608,12 @@ def run_simulation(
     trace: Sequence[TraceEntry],
     mode: Mode,
     seed: int = 0,
-) -> tuple[MetricsReport, list[RequestRecord]]:
+) -> tuple[MetricsReport, Sequence[RequestRecord]]:
     """Run one deterministic simulation and return its metrics and records.
+
+    The records, one per trace entry in trace order, are built the first
+    time they are read (indexed, iterated, measured or compared), so a
+    caller that ignores them builds none.  A slice of them is a list.
 
     ``topology`` also sets the caches' eviction policy and the prefetch cap.
     The seed is echoed into the report for bookkeeping; the event schedule
@@ -582,7 +624,8 @@ def run_simulation(
     """
     sim = _Simulation(topology, kb, trace, mode)
     sim.loop.run(sim.schedule_trace(), sim._at_cache, sim._fetched)
-    unserved = next((r for r in sim.records if r.served_from is None), None)
-    if unserved is not None:
-        raise SimulationError(f"request {unserved.request_id} was never served")
-    return sim.report(seed), sim.records
+    if None in sim.served:
+        raise SimulationError(f"request {sim.served.index(None)} was never served")
+    trace = sim.trace
+    columns = trace.user_ids, trace.cell_ids, trace.descriptors, trace.times
+    return sim.report(seed), _Records(*columns, sim.completed, sim.served)

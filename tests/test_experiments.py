@@ -160,6 +160,21 @@ class TestRunSweep:
         self.location_sweep(kb)
         assert len(sorts) == 3
 
+    def test_a_sweep_builds_no_record(self, kb, monkeypatch):
+        """A sweep reads only its runs' reports, so its six runs build no
+        ``RequestRecord``, where building them up front took one per request
+        and run."""
+        built = []
+        real = sim_module.RequestRecord
+
+        def counting(*args):
+            built.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(sim_module, "RequestRecord", counting)
+        self.location_sweep(kb)
+        assert built == []
+
     def test_topology_run_knobs_reach_every_point(self, kb):
         """A sweep runs its topology's eviction policy and prefetch cap: each
         point equals a direct run on that topology, and Semantic prefetches

@@ -209,7 +209,7 @@ class TestEventLoop:
     @pytest.mark.parametrize("k", [1, 3])
     def test_delivery_completes_at_last_link(self, k):
         """``_Simulation._deliver`` in each of ``k`` cells, at every cache
-        location: the record completes at the chained claims over the links
+        location: the request completes at the chained claims over the links
         from the cache node down to the UE, and the loop's heap and landing
         queue stay empty."""
         specs = [LinkSpec(1.0 + i, 500.0 * (i + 1)) for i in range(4)]
@@ -220,10 +220,10 @@ class TestEventLoop:
                 expected = _claim((_Channel(spec),), expected, 1200)
             topology = Topology(k, *specs, cache_location=location)
             for cell in range(k):
-                sim = _Simulation(topology, pair_kb(), [], Mode.TRADITIONAL)
-                record = types.SimpleNamespace(cell_id=cell, completed_at=0.0)
-                sim._deliver(record, 3.0, 1200, ServedFrom.CACHE)
-                assert record.completed_at == expected
+                trace = [TraceEntry(0.0, 0, cell, "wiki/Alice")]
+                sim = _Simulation(topology, pair_kb(), trace, Mode.TRADITIONAL)
+                sim._deliver(0, 3.0, 1200, ServedFrom.CACHE)
+                assert sim.completed == [expected] and sim.served == [ServedFrom.CACHE]
                 assert sim.loop._heap == [] and not sim.loop.landings
 
 
@@ -285,7 +285,7 @@ class TestAccessArrivalsMatchHopByHop:
         expected = [(t.hex(), i) for t, i in reference.reached]
 
         sim = _Simulation(topology, kb, trace, Mode.TRADITIONAL)
-        assert [(t.hex(), record.request_id) for t, record in sim.schedule_trace()] == expected
+        assert [(t.hex(), i) for t, i in sim.schedule_trace()] == expected
         shared = _PreparedTrace(trace, kb, cells)
         shared.arrivals(sim.access_links[:1])
         times, order = shared.arrivals(sim.access_links)
@@ -1260,9 +1260,9 @@ class TestValidation:
     def test_unserved_request(self, monkeypatch):
         deliver = _Simulation._deliver
 
-        def drop_request_1(self, record, t, size, served_from):
-            if record.request_id != 1:
-                deliver(self, record, t, size, served_from)
+        def drop_request_1(self, i, t, size, served_from):
+            if i != 1:
+                deliver(self, i, t, size, served_from)
 
         monkeypatch.setattr(_Simulation, "_deliver", drop_request_1)
         trace = [
@@ -1407,10 +1407,9 @@ class TestDeterminism:
     def test_mean_latency_sums_left_to_right(self):
         # Ten 0.1 ms latencies: a left-to-right sum gives 0.9999999999999999,
         # a compensated one (``sum`` from Python 3.12 on) 1.0.
-        trace = [TraceEntry(0.0, 0, 0, "wiki/Alice")]
+        trace = [TraceEntry(0.0, 0, 0, "wiki/Alice")] * 10
         sim = _Simulation(topo(), pair_kb(), trace, Mode.TRADITIONAL)
-        descriptor = sim.trace.descriptors[0]
-        sim.records = [RequestRecord(i, 0, 0, descriptor, 0.0, 0.1) for i in range(10)]
+        sim.completed = [0.1] * 10
         assert sim.report(0).mean_latency_ms == 0.09999999999999999
 
 
@@ -1427,6 +1426,68 @@ class TestNoReferenceCycle:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_unread_records_die_with_the_report(self):
+        # Records never read hold the run's columns, never the simulation.
+        trace = [TraceEntry(0.0, 0, 0, "wiki/Alice"), TraceEntry(1.0, 1, 0, "wiki/Bob")]
+        gc.disable()
+        try:
+            report, records = run_simulation(topo(), pair_kb(), trace, Mode.SEMANTIC)
+            ref = weakref.ref(records)
+            del report, records
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestRecordsOnFirstRead:
+    """A run's records are built from its result columns the first time
+    they are read, once: a caller that never reads them builds none."""
+
+    TRACE = [
+        TraceEntry(0.0, 0, 0, "wiki/Alice"),
+        TraceEntry(1000.0, 1, 0, "wiki/Bob"),
+        TraceEntry(2000.0, 0, 0, "wiki/Bob"),
+    ]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        real = RequestRecord
+
+        def counting(*args):
+            built.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(sim_module, "RequestRecord", counting)
+        return built
+
+    def test_built_once_on_first_read(self, built):
+        _, records = run_simulation(topo(), pair_kb(), self.TRACE, Mode.SEMANTIC)
+        assert built == []
+        first = records[0]
+        assert built == [0, 1, 2]
+        assert records[0] is first and len(records) == 3
+        assert [r.request_id for r in records] == [0, 1, 2]
+        assert [r.served_from for r in records] == [
+            ServedFrom.ORIGIN, ServedFrom.CACHE, ServedFrom.CACHE
+        ]
+        assert built == [0, 1, 2]
+
+    def test_slice_is_a_list(self):
+        _, records = run_simulation(topo(), pair_kb(), self.TRACE, Mode.SEMANTIC)
+        tail = records[1:]
+        assert type(tail) is list
+        assert len(tail) == 2 and tail[0] is records[1] and tail[1] is records[2]
+
+    def test_runs_compare_equal(self):
+        kb = pair_kb()
+        _, records = run_simulation(topo(), kb, self.TRACE, Mode.SEMANTIC)
+        _, again = run_simulation(topo(), kb, self.TRACE, Mode.SEMANTIC)
+        _, traditional = run_simulation(topo(), kb, self.TRACE, Mode.TRADITIONAL)
+        assert records == again and not records != again
+        assert records == list(again) and list(records) == again
+        assert records != traditional and list(records) != traditional
 
 
 class TestMetadataOverhead:
