@@ -28,7 +28,7 @@ at that time.
 
 A trace is checked and described once per (trace, KB, cell count): its
 order, each entry's descriptor, its cell range and each request's size are
-worked out in one bulk pass before the first run, and ``run_sweep`` reuses
+worked out entry by entry before the first run, and ``run_sweep`` reuses
 them across its points.  So are the requests' arrivals at the end of each
 run of access links, worked out from those one link shorter: both modes
 and all three cache locations share them.  A trace that a single run
@@ -54,7 +54,6 @@ import functools
 import heapq
 import itertools
 import math
-import operator
 from array import array
 from collections import Counter, deque
 from collections.abc import Sequence
@@ -207,13 +206,12 @@ class _PreparedTrace(list):
     columns, and ``descriptors`` and ``nbytes`` what the entries lack: each
     one's descriptor and its IRI's UTF-8 byte length.  Each entry is checked
     for time order, then described, then its ``user_id`` and ``cell_id`` are
-    checked to be ints (not bools), then its cell range, so the first bad
-    entry's first fault is the one raised.  One bulk pass makes each check
-    over the whole trace; only if it finds a fault does ``_check_each`` go
-    entry by entry, to name that fault.  ``arrivals`` works out the
-    requests' way up to a cache node; a ``shared`` trace, prepared for
-    several runs, stores what it works out, and a trace private to one run
-    stores nothing.  Not to be changed once built."""
+    checked to be ints (not bools), then its cell range, and last its IRI is
+    encoded, all entry by entry, so the first bad entry's first fault is the
+    one raised.  ``arrivals`` works out the requests' way up to a cache
+    node; a ``shared`` trace, prepared for several runs, stores what it
+    works out, and a trace private to one run stores nothing.  Not to be
+    changed once built."""
 
     def __init__(
         self, trace: Iterable[TraceEntry], kb: KnowledgeBase, cells: int, shared: bool = True
@@ -223,50 +221,25 @@ class _PreparedTrace(list):
         self.cells = cells
         self.shared = shared
         self._arrivals: dict[tuple[LinkSpec, ...], tuple[array, array]] = {}
-        try:
-            checked = self._check_all()
-        except Exception:  # ``_check_each`` raises it, or an earlier entry's fault
-            checked = False
-        if not checked:
-            self._check_each()
-            raise AssertionError("the bulk pass and the per-entry checks disagree")
-
-    def _check_all(self) -> bool:
-        """The bulk pass: the per-entry checks, each over the whole trace at
-        once, with ``kb.describe`` called once per entry.  False if an entry
-        fails one."""
-        self.times = times = [entry.time_ms for entry in self]
-        # ``<`` against the predecessor, the first entry against 0.0, as
-        # ``_check_each`` compares.
-        if any(map(operator.lt, times, itertools.chain((0.0,), times))):
-            return False
-        iris = [entry.entity_iri for entry in self]
-        self.descriptors = list(map(self.kb.describe, iris))
-        self.user_ids = users = [entry.user_id for entry in self]
-        self.cell_ids = cells = [entry.cell_id for entry in self]
-        if [*map(type, users), *map(type, cells)].count(int) < 2 * len(self):  # a bool is no int
-            return False
-        if cells and not (min(cells) >= 0 and max(cells) < self.cells):
-            return False
-        self.nbytes = [len(iri.encode()) for iri in iris]  # UTF-8
-        return True
-
-    def _check_each(self) -> None:
-        """The documented checks, entry by entry: raise the first bad entry's
-        first fault."""
+        describe = kb.describe
+        self.descriptors = descriptors = []
+        self.nbytes = nbytes = []
         prev_time = 0.0
         for idx, entry in enumerate(self):
             if entry.time_ms < prev_time:
                 raise UnsortedTrace(idx)
             prev_time = entry.time_ms
-            self.kb.describe(entry.entity_iri)
+            descriptors.append(describe(entry.entity_iri))
             if type(entry.user_id) is not int or type(entry.cell_id) is not int:
                 name = "user_id" if type(entry.user_id) is not int else "cell_id"
                 value = getattr(entry, name)
                 raise SimulationError(f"trace entry {idx}: {name} must be an int, got {value!r}")
-            if not 0 <= entry.cell_id < self.cells:
+            if not 0 <= entry.cell_id < cells:
                 raise SimulationError(f"trace entry {idx}: cell {entry.cell_id} outside topology")
-            entry.entity_iri.encode("utf-8")  # its byte length is taken last
+            nbytes.append(len(entry.entity_iri.encode()))  # UTF-8, taken last
+        self.times = [entry.time_ms for entry in self]
+        self.user_ids = [entry.user_id for entry in self]
+        self.cell_ids = [entry.cell_id for entry in self]
 
     def arrivals(self, links: tuple[LinkSpec, ...]) -> tuple[list[float], Sequence[int]]:
         """Each request's arrival time at the end of ``links``, the access

@@ -4,6 +4,7 @@ import io
 import math
 import types
 import weakref
+from contextlib import nullcontext
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import semcache.sim as sim_module
 from semcache import experiments
 from semcache.codec import MetadataTooLarge, encode_metadata
-from semcache.kb import UnknownEntity, load_knowledge_base
+from semcache.kb import KnowledgeBase, UnknownEntity, load_knowledge_base
 from semcache.metrics import MetricsReport
 from semcache.reference import reference_kb, reference_workload
 from semcache.sim import (
@@ -1278,7 +1279,8 @@ def _first_fault(trace, kb, cells):
     """The README's per-entry rule: the first entry with a fault, and its
     first fault, as ``(exception type, message)``; None for a clean trace.
     An entry is checked for time order, then for a known IRI, then for int
-    ids (``user_id`` first), then for its cell range."""
+    ids (``user_id`` first), then for its cell range, then for an IRI that
+    encodes to UTF-8."""
     previous = 0.0
     for idx, entry in enumerate(trace):
         if entry.time_ms < previous:
@@ -1292,6 +1294,10 @@ def _first_fault(trace, kb, cells):
                 return SimulationError, f"trace entry {idx}: {name} must be an int, got {value!r}"
         if not 0 <= entry.cell_id < cells:
             return SimulationError, f"trace entry {idx}: cell {entry.cell_id} outside topology"
+        try:
+            entry.entity_iri.encode()
+        except UnicodeEncodeError as exc:
+            return UnicodeEncodeError, str(exc)
     return None
 
 
@@ -1299,17 +1305,21 @@ def _first_fault(trace, kb, cells):
 # stands for half a millisecond before the previous entry.
 _FAULT = st.one_of(
     st.tuples(st.just("time_ms"), st.none()),
-    st.tuples(st.just("entity_iri"), st.just("wiki/Nope")),
+    st.tuples(st.just("entity_iri"), st.sampled_from(["wiki/Nope", "wiki/\ud800"])),
     st.tuples(st.sampled_from(["user_id", "cell_id"]), st.sampled_from([True, False, 0.0, 1.5])),
     st.tuples(st.just("cell_id"), st.sampled_from([-1, 2, 5])),
 )
 
 
+# ``PAIR_KB`` plus an IRI that is in the KB but does not encode to UTF-8.
+SURROGATE_KB = PAIR_KB + '"wiki/\ud800" type Person\n"wiki/\ud800" size 10\n'
+
+
 class TestPreparationFaults:
-    """A trace is prepared in one bulk pass, and only a trace with a fault
-    is checked entry by entry: the error raised is the per-entry rule's,
-    type and message, whatever faults the trace holds and in whatever
-    order.  A clean trace gets each entry's descriptor and IRI byte length."""
+    """A trace is checked entry by entry: the error raised is the per-entry
+    rule's, type and message, whatever faults the trace holds and in
+    whatever order, and each entry is described once.  A clean trace gets
+    each entry's descriptor and IRI byte length."""
 
     @given(
         steps=st.lists(
@@ -1328,6 +1338,10 @@ class TestPreparationFaults:
         steps=[(0.0, 0, "wiki/Alice")] * 3,
         faults=[(2, ("cell_id", 2)), (1, ("user_id", True)), (1, ("entity_iri", "wiki/Nope"))],
     )
+    @example(
+        steps=[(0.0, 0, "wiki/Alice")] * 3,
+        faults=[(1, ("entity_iri", "wiki/\ud800")), (2, ("cell_id", 2))],
+    )
     @settings(max_examples=300, deadline=None)
     def test_first_fault_by_the_per_entry_rule(self, steps, faults):
         trace, time = [], 1.0
@@ -1339,7 +1353,7 @@ class TestPreparationFaults:
             if field == "time_ms":
                 value = max(trace[i - 1].time_ms - 0.5, 0.0) if i else 0.0
             trace[i] = replace(trace[i], **{field: value})
-        kb = pair_kb()
+        kb = load_knowledge_base(io.StringIO(SURROGATE_KB))
         expected = _first_fault(trace, kb, 2)
         if expected is None:
             prepared = _PreparedTrace(trace, kb, 2)
@@ -1349,6 +1363,30 @@ class TestPreparationFaults:
             with pytest.raises(Exception) as raised:
                 _PreparedTrace(trace, kb, 2)
             assert (type(raised.value), str(raised.value)) == expected
+
+    @pytest.mark.parametrize(
+        "last, error",
+        [
+            (TraceEntry(4.0, 0, 0, "wiki/Alice"), None),
+            (TraceEntry(4.0, 0, 2, "wiki/Alice"), SimulationError),
+            (TraceEntry(4.0, 0, 0, "wiki/Nope"), UnknownEntity),
+        ],
+    )
+    def test_each_entry_described_once(self, last, error):
+        """A fault in the last entry costs no second pass over the trace: five
+        entries make five ``describe`` calls, as a clean trace does."""
+        trace = [TraceEntry(float(t), 0, 0, "wiki/Alice") for t in range(4)] + [last]
+        calls = []
+        real = KnowledgeBase.describe
+
+        def describe(self, iri):
+            calls.append(iri)
+            return real(self, iri)
+
+        raised = pytest.raises(error) if error else nullcontext()
+        with mock.patch.object(KnowledgeBase, "describe", describe), raised:
+            _PreparedTrace(trace, pair_kb(), 2)
+        assert len(calls) == 5
 
 
 def swept_trace(kb, topology, workload):
