@@ -26,10 +26,12 @@ arrivals there are worked out before the run.  Equal-time events run in
 the order they were scheduled, after the requests that reach a cache node
 at that time.
 
-A trace is checked and described once per (trace, KB, cell count): its
-order, each entry's descriptor, its cell range and each request's size are
-worked out entry by entry before the first run, and ``run_sweep`` reuses
-them across its points.  So are the requests' arrivals at the end of each
+A trace is held as columns, not as a list of entries: a generated or
+loaded trace hands its columns on, and no run builds a ``TraceEntry``.  It
+is checked and described once per (trace, KB, cell count): its order, each
+entry's descriptor, its cell range and each request's size are worked out
+entry by entry before the first run, and ``run_sweep`` reuses them across
+its points.  So are the requests' arrivals at the end of each
 run of access links, worked out from those one link shorter: both modes
 and all three cache locations share them.  A trace that a single run
 prepares for itself stores none of them.  A metadata header's size
@@ -66,7 +68,7 @@ from semcache.cache import EVICTION_POLICIES, Cache, ContentOrigin
 from semcache.codec import MetadataDescriptor, _header_size, wire_size  # noqa: F401
 from semcache.kb import KnowledgeBase, infer_next
 from semcache.metrics import MetricsReport
-from semcache.workload import TraceEntry, _count
+from semcache.workload import TraceEntry, _columns, _count, _Trace
 
 
 class SimulationError(Exception):
@@ -199,24 +201,25 @@ class _Records(Sequence):
         return repr(self._records)
 
 
-class _PreparedTrace(list):
-    """The entries of a trace, checked against one KB and cell count.
+class _PreparedTrace(_Trace):
+    """A column trace checked against one KB and cell count.
 
-    ``times``, ``user_ids`` and ``cell_ids`` hold the entries' fields as
-    columns, and ``descriptors`` and ``nbytes`` what the entries lack: each
-    one's descriptor and its IRI's UTF-8 byte length.  Each entry is checked
-    for time order, then described, then its ``user_id`` and ``cell_id`` are
-    checked to be ints (not bools), then its cell range, and last its IRI is
-    encoded, all entry by entry, so the first bad entry's first fault is the
-    one raised.  ``arrivals`` works out the requests' way up to a cache
-    node; a ``shared`` trace, prepared for several runs, stores what it
-    works out, and a trace private to one run stores nothing.  Not to be
-    changed once built."""
+    Built from a column trace it shares that trace's columns, and from any
+    other trace it reads them from the entries.  ``descriptors`` and
+    ``nbytes`` hold what the entries lack: each one's descriptor and its
+    IRI's UTF-8 byte length.  Each entry is checked for time order, then
+    described, then its ``user_id`` and ``cell_id`` are checked to be ints
+    (not bools), then its cell range, and last its IRI is encoded, all entry
+    by entry, so the first bad entry's first fault is the one raised.
+    ``arrivals`` works out the requests' way up to a cache node; a
+    ``shared`` trace, prepared for several runs, stores what it works out,
+    and a trace private to one run stores nothing.  Not to be changed once
+    built."""
 
     def __init__(
         self, trace: Iterable[TraceEntry], kb: KnowledgeBase, cells: int, shared: bool = True
     ):
-        super().__init__(trace)
+        super().__init__(*_columns(trace))
         self.kb = kb
         self.cells = cells
         self.shared = shared
@@ -225,21 +228,19 @@ class _PreparedTrace(list):
         self.descriptors = descriptors = []
         self.nbytes = nbytes = []
         prev_time = 0.0
-        for idx, entry in enumerate(self):
-            if entry.time_ms < prev_time:
+        for idx, (time_ms, user, cell, iri) in enumerate(
+            zip(self.times, self.user_ids, self.cell_ids, self.iris)
+        ):
+            if time_ms < prev_time:
                 raise UnsortedTrace(idx)
-            prev_time = entry.time_ms
-            descriptors.append(describe(entry.entity_iri))
-            if type(entry.user_id) is not int or type(entry.cell_id) is not int:
-                name = "user_id" if type(entry.user_id) is not int else "cell_id"
-                value = getattr(entry, name)
+            prev_time = time_ms
+            descriptors.append(describe(iri))
+            if type(user) is not int or type(cell) is not int:
+                name, value = ("user_id", user) if type(user) is not int else ("cell_id", cell)
                 raise SimulationError(f"trace entry {idx}: {name} must be an int, got {value!r}")
-            if not 0 <= entry.cell_id < cells:
-                raise SimulationError(f"trace entry {idx}: cell {entry.cell_id} outside topology")
-            nbytes.append(len(entry.entity_iri.encode()))  # UTF-8, taken last
-        self.times = [entry.time_ms for entry in self]
-        self.user_ids = [entry.user_id for entry in self]
-        self.cell_ids = [entry.cell_id for entry in self]
+            if not 0 <= cell < cells:
+                raise SimulationError(f"trace entry {idx}: cell {cell} outside topology")
+            nbytes.append(len(iri.encode()))  # UTF-8, taken last
 
     def arrivals(self, links: tuple[LinkSpec, ...]) -> tuple[list[float], Sequence[int]]:
         """Each request's arrival time at the end of ``links``, the access
@@ -292,7 +293,7 @@ class _PreparedTrace(list):
         each distinct length is sized once, with no header built."""
         sizes = self.kb.sizes
         total = sum(_header_size(nbytes) * n for nbytes, n in Counter(self.nbytes).items())
-        content = sum(sizes[entry.entity_iri] for entry in self)
+        content = sum(map(sizes.__getitem__, self.iris))
         n_users = len(set(self.user_ids))
         return {
             "total_bytes": total,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -48,10 +49,71 @@ class TraceEntry:
     entity_iri: str
 
     def __post_init__(self) -> None:
-        if not 0 <= self.time_ms < math.inf:
-            raise ValueError(f"time_ms must be finite and >= 0, got {self.time_ms}")
-        if not self.entity_iri:
-            raise ValueError(f"entity_iri must be non-empty, got {self.entity_iri!r}")
+        _check_entry(self.time_ms, self.entity_iri)
+
+
+def _check_entry(time_ms: float, entity_iri: str) -> None:
+    """Refuse a time that is not finite and >= 0, then an empty IRI."""
+    if not 0 <= time_ms < math.inf:
+        raise ValueError(f"time_ms must be finite and >= 0, got {time_ms}")
+    if not entity_iri:
+        raise ValueError(f"entity_iri must be non-empty, got {entity_iri!r}")
+
+
+class _Trace(Sequence):
+    """A trace held as four columns, ``times``, ``user_ids``, ``cell_ids``
+    and ``iris``, one item per request.  Indexing or iterating it builds
+    each ``TraceEntry`` as it is read and keeps none; a slice is a list, and
+    ``==`` compares the entries with a list's or another trace's.  Not to be
+    changed once built."""
+
+    def __init__(self, times: list, user_ids: list, cell_ids: list, iris: list):
+        self.times = times
+        self.user_ids = user_ids
+        self.cell_ids = cell_ids
+        self.iris = iris
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(TraceEntry, *(column[i] for column in _columns(self))))
+        return TraceEntry(self.times[i], self.user_ids[i], self.cell_ids[i], self.iris[i])
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self) -> Iterator[TraceEntry]:
+        return map(TraceEntry, *_columns(self))
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == (list(other) if isinstance(other, _Trace) else other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _columns(trace: Iterable[TraceEntry]) -> tuple[list, list, list, list]:
+    """The times, user ids, cell ids and IRIs of ``trace``: a column trace's
+    own lists, or else read from its entries."""
+    if isinstance(trace, _Trace):
+        return trace.times, trace.user_ids, trace.cell_ids, trace.iris
+    entries = list(trace)
+    return (
+        [entry.time_ms for entry in entries],
+        [entry.user_id for entry in entries],
+        [entry.cell_id for entry in entries],
+        [entry.entity_iri for entry in entries],
+    )
+
+
+def _by_time(columns: list[list]) -> _Trace:
+    """The trace of ``columns`` (times, user ids, cell ids, IRIs) in time
+    order, by one stable sort.  Each column is reordered in turn and its
+    sorted copy replaces it in ``columns``, so when nothing else holds the
+    lists, at most one column is held twice at a time."""
+    order = sorted(range(len(columns[0])), key=columns[0].__getitem__)
+    for k, column in enumerate(columns):
+        columns[k] = list(map(column.__getitem__, order))
+    return _Trace(*columns)
 
 
 @dataclass(frozen=True)
@@ -85,10 +147,11 @@ class SyntheticSpec:
 CSV_HEADER = ["time_ms", "user_id", "cell_id", "entity_iri"]
 
 
-def load_trace(source: str | Path | TextIO | Iterable[str]) -> list[TraceEntry]:
-    """Read a trace CSV, returning entries sorted by time (stable).  The
-    entries hold one ``str`` object per distinct IRI.  A path is read as
-    UTF-8, a leading byte-order mark ignored.
+def load_trace(source: str | Path | TextIO | Iterable[str]) -> Sequence[TraceEntry]:
+    """Read a trace CSV, returning its entries sorted by time (stable), as a
+    column trace that builds each entry when it is read.  The trace holds
+    one ``str`` object per distinct IRI.  A path is read as UTF-8, a leading
+    byte-order mark ignored.
 
     Each row is stripped, and skipped if blank or a comment.  A row holding
     no ``"``, carriage return, newline or NUL, and no longer than
@@ -99,8 +162,9 @@ def load_trace(source: str | Path | TextIO | Iterable[str]) -> list[TraceEntry]:
         with open(source, encoding="utf-8-sig", newline="") as fh:
             return load_trace(fh)
 
-    entries: list[TraceEntry] = []
-    iris: dict[str, str] = {}
+    columns: list[list] = [[], [], [], []]
+    times, user_ids, cell_ids, iris = columns
+    interned: dict[str, str] = {}
     limit = csv.field_size_limit()
     for line_no, line in enumerate(source, start=1):
         stripped = line.strip()
@@ -126,24 +190,31 @@ def load_trace(source: str | Path | TextIO | Iterable[str]) -> list[TraceEntry]:
         if len(row) != 4:
             raise ParseError(line_no, f"expected 4 columns, got {len(row)}")
         iri = row[3].strip()
-        iri = iris.setdefault(iri, iri)
+        iri = interned.setdefault(iri, iri)
         try:
-            entries.append(TraceEntry(float(row[0]), int(row[1]), int(row[2]), iri))
+            time_ms, user, cell = float(row[0]), int(row[1]), int(row[2])
+            if not (0 <= time_ms < math.inf and iri):  # ``TraceEntry``'s checks
+                _check_entry(time_ms, iri)
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
-    entries.sort(key=lambda e: e.time_ms)
-    return entries
+        times.append(time_ms)
+        user_ids.append(user)
+        cell_ids.append(cell)
+        iris.append(iri)
+    del times, user_ids, cell_ids, iris  # so ``_by_time`` drops each column as it reorders it
+    return _by_time(columns)
 
 
 def save_trace(entries: Iterable[TraceEntry], sink: TextIO) -> None:
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for e in entries:
-        writer.writerow([repr(e.time_ms), e.user_id, e.cell_id, e.entity_iri])
+    times, user_ids, cell_ids, iris = _columns(entries)
+    writer.writerows(zip(map(repr, times), user_ids, cell_ids, iris))
 
 
-def generate_trace(kb: KnowledgeBase, spec: SyntheticSpec) -> list[TraceEntry]:
-    """Synthesize a trace over the knowledge base's entities.
+def generate_trace(kb: KnowledgeBase, spec: SyntheticSpec) -> Sequence[TraceEntry]:
+    """Synthesize a trace over the knowledge base's entities, as a column
+    trace that builds each entry when it is read.
 
     The first request of each user is uniform over all entities.  Each later
     request follows the inference successors of the previous one with
@@ -162,7 +233,10 @@ def generate_trace(kb: KnowledgeBase, spec: SyntheticSpec) -> list[TraceEntry]:
             return rng.uniform(*spec.gap_ms)
         return float(spec.gap_ms)
 
-    entries: list[TraceEntry] = []
+    times: list[float] = []
+    user_ids: list[int] = []
+    cell_ids: list[int] = []
+    iris: list[str] = []
     for user in range(spec.n_users):
         cell = user % spec.n_cells
         count = rng.randint(lo, hi)
@@ -175,8 +249,13 @@ def generate_trace(kb: KnowledgeBase, spec: SyntheticSpec) -> list[TraceEntry]:
                 iri = rng.choice(successors).entity_iri
             else:
                 iri = rng.choice(entities)
-            entries.append(TraceEntry(t, user, cell, iri))
+            times.append(t)
+            user_ids.append(user)
+            cell_ids.append(cell)
+            iris.append(iri)
             prev = iri
             t += draw_gap()
-    entries.sort(key=lambda e: e.time_ms)
-    return entries
+        # The gaps are finite and >= 0, so only a user's last time can have
+        # grown to ``inf``.
+        _check_entry(times[-1], iris[-1])
+    return _by_time([times, user_ids, cell_ids, iris])

@@ -79,6 +79,12 @@ class TestInsert:
         assert c.used == 0 and len(c) == 0
         assert c.stats().rejections == 1
 
+    def test_object_of_exactly_the_capacity_stored(self):
+        c = Cache(1000)
+        assert c.insert("k", 1000, D, 0) is True
+        assert c.used == 1000 and "k" in c
+        assert c.stats().rejections == 0
+
     @pytest.mark.parametrize(
         "capacity, policy, match",
         [(0, "lru", "capacity must be positive"), (1, "mru", "unknown eviction policy")],

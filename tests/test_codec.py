@@ -215,6 +215,9 @@ class TestWireFormat:
         with pytest.raises(ValueError, match=match):
             HopByHopOption(opt_type, data)
 
+    def test_largest_option_type_accepted(self):
+        assert HopByHopOption(0xFF, b"").type == 0xFF
+
     def test_header_size_not_multiple_of_8(self):
         # 2 fixed + 2 TLV + 5 data = 9 bytes.
         with pytest.raises(ValueError, match="not a multiple of 8"):

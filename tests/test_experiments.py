@@ -175,6 +175,21 @@ class TestRunSweep:
         self.location_sweep(kb)
         assert built == []
 
+    def test_a_sweep_builds_no_trace_entry(self, kb, monkeypatch):
+        """A sweep generates its trace as columns and its runs read the
+        columns, so its six runs build no ``TraceEntry``, where generating
+        the trace built one per request."""
+        built = []
+        check = TraceEntry.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(TraceEntry, "__post_init__", counting)
+        self.location_sweep(kb)
+        assert built == []
+
     def test_topology_run_knobs_reach_every_point(self, kb):
         """A sweep runs its topology's eviction policy and prefetch cap: each
         point equals a direct run on that topology, and Semantic prefetches

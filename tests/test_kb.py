@@ -91,6 +91,7 @@ class TestLoad:
         "line",
         [
             '"wiki/A" size -5',
+            '"wiki/A" size 0',
             '"wiki/A" size many',
             '"wiki/A" type Robot',
             '"wiki/A" knows "wiki/B"',

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import semcache.sim as sim_module
 from semcache import experiments
+from semcache.cache import Cache
 from semcache.codec import MetadataTooLarge, encode_metadata
 from semcache.kb import KnowledgeBase, UnknownEntity, load_knowledge_base
 from semcache.metrics import MetricsReport
@@ -729,6 +730,28 @@ def _zero_prefetch_differences(traditional, semantic):
     return differences
 
 
+def _with_inserted_bytes(run):
+    """``run()``, and the sizes passed to ``Cache.insert`` while it ran, summed."""
+    sizes = []
+    real = Cache.insert
+
+    def insert(self, key, size, origin, now):
+        sizes.append(size)
+        return real(self, key, size, origin, now)
+
+    with mock.patch.object(Cache, "insert", insert):
+        out = run()
+    return out, sum(sizes)
+
+
+def _unconserved_bytes(report, inserted):
+    """Law (e), either mode: every origin fetch, demand or prefetch, ends in
+    exactly one ``Cache.insert`` of its content, stored, refreshed or
+    rejected, so the inserted sizes sum to ``origin_bytes``.  The report
+    fields that break it."""
+    return [] if report.origin_bytes == inserted else ["origin_bytes"]
+
+
 class TestModelLaws:
     """Laws of the model that hold under any tie rule and any event order.
     Each bound is exact, with no tolerance."""
@@ -747,8 +770,12 @@ class TestModelLaws:
         topology = Topology(
             cells, *links, cache_location=location, cache_capacity=100_000, eviction=eviction
         )
-        trad = run_simulation(topology, kb, trace, Mode.TRADITIONAL)
-        sem = run_simulation(topology, kb, trace, Mode.SEMANTIC)
+        trad, trad_bytes = _with_inserted_bytes(
+            lambda: run_simulation(topology, kb, trace, Mode.TRADITIONAL)
+        )
+        sem, sem_bytes = _with_inserted_bytes(
+            lambda: run_simulation(topology, kb, trace, Mode.SEMANTIC)
+        )
         zero = run_simulation(replace(topology, max_prefetch=0), kb, trace, Mode.SEMANTIC)
 
         for _, records in (trad, sem, zero):
@@ -756,6 +783,8 @@ class TestModelLaws:
         assert _beat_origin_round_trip(topology, kb, trad[1]) == []
         assert _traditional_report_faults(*trad) == []
         assert _zero_prefetch_differences(trad, zero) == []
+        assert _unconserved_bytes(trad[0], trad_bytes) == []
+        assert _unconserved_bytes(sem[0], sem_bytes) == []
 
     # Each law's check passes a clean run and catches one corrupted record
     # or report: a miss, then a hit, on the default topology.
@@ -802,6 +831,19 @@ class TestModelLaws:
         assert _zero_prefetch_differences(trad, (corrupt, records)) == ["origin_bytes"]
         corrupt = replace(report, prefetched_bytes=report.prefetched_bytes + 1)
         assert _zero_prefetch_differences(trad, (corrupt, records)) == ["prefetched_bytes"]
+
+    def test_byte_conservation_law_can_fail(self):
+        """A Semantic run that demand-fetches Alice and prefetches Bob
+        inserts both; one byte more or less of ``origin_bytes`` is caught."""
+        trace = [TraceEntry(0.0, 0, 0, "wiki/Alice")]
+        (report, _), inserted = _with_inserted_bytes(
+            lambda: run_simulation(topo(), pair_kb(), trace, Mode.SEMANTIC)
+        )
+        assert report.prefetched_bytes > 0
+        assert _unconserved_bytes(report, inserted) == []
+        for wrong in (report.origin_bytes - 1, report.origin_bytes + 1):
+            corrupt = replace(report, origin_bytes=wrong)
+            assert _unconserved_bytes(corrupt, inserted) == ["origin_bytes"]
 
 
 class TestSingleRequest:

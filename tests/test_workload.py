@@ -30,6 +30,20 @@ def chain_kb(n=12):
     return load_knowledge_base(io.StringIO("\n".join(lines)))
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The ``TraceEntry``s constructed from here on, by any caller."""
+    entries = []
+    check = TraceEntry.__post_init__
+
+    def counting(self):
+        entries.append(self)
+        check(self)
+
+    monkeypatch.setattr(TraceEntry, "__post_init__", counting)
+    return entries
+
+
 class TestTraceEntry:
     @pytest.mark.parametrize("time", [float("nan"), float("inf"), -1.0])
     def test_time_must_be_finite_and_non_negative(self, time):
@@ -73,11 +87,16 @@ class TestLoadTrace:
         "row, match",
         [
             ("2,0,wiki/B", "expected 4 columns, got 3"),
-            ("2,0,0, ", "entity_iri must be non-empty"),
+            ("2,0,0, ", "^line 2: entity_iri must be non-empty, got ''$"),
+            ("-1,0,0,wiki/B", r"^line 2: time_ms must be finite and >= 0, got -1\.0$"),
+            ("nan,0,0,wiki/B", "^line 2: time_ms must be finite and >= 0, got nan$"),
+            ("inf,0,0,wiki/B", "^line 2: time_ms must be finite and >= 0, got inf$"),
             # A lone carriage return inside a row is a line break ``csv`` refuses.
             ("2,0,0,wiki/B\r3,0,0,wiki/C", "unreadable row: new-line character"),
         ],
-        ids=["three-columns", "empty-iri", "carriage-return"],
+        ids=[
+            "three-columns", "empty-iri", "negative-time", "nan-time", "inf-time", "carriage-return"
+        ],
     )
     def test_refused_row_names_line(self, row, match):
         with pytest.raises(ParseError, match=match) as exc:
@@ -95,6 +114,31 @@ class TestLoadTrace:
         assert not hasattr(entries[0], "__dict__")
         assert entries[0].entity_iri is entries[2].entity_iri
         assert entries[1].entity_iri == "wiki/Bob"
+
+    def test_entries_built_only_when_read(self, built):
+        """The loader keeps columns: a 3-row trace builds no entry until it is
+        read, and each read builds the entries it returns and keeps none."""
+        trace = load_trace(io.StringIO("3,0,1,wiki/C\n1,1,0,wiki/A\n2,2,1,wiki/B\n"))
+        assert built == []
+        assert [e.entity_iri for e in trace] == ["wiki/A", "wiki/B", "wiki/C"]
+        assert len(built) == 3
+        assert trace[-1] == TraceEntry(3.0, 0, 1, "wiki/C")
+        assert len(built) == 5  # the entry read, and the one it was compared with
+
+    def test_a_trace_reads_as_a_list_of_entries(self):
+        entries = [
+            TraceEntry(1.0, 1, 0, "wiki/A"),
+            TraceEntry(2.0, 2, 1, "wiki/B"),
+            TraceEntry(3.0, 0, 1, "wiki/C"),
+        ]
+        trace = load_trace(io.StringIO("3,0,1,wiki/C\n1,1,0,wiki/A\n2,2,1,wiki/B\n"))
+        assert trace == entries and entries == trace
+        assert trace != entries[:2] and trace != entries[::-1]
+        assert type(trace[1:]) is list and trace[1:] == entries[1:]
+        assert list(trace) == list(trace) == entries
+        assert len(trace) == 3 and trace[1] == entries[1] and trace[-1] == entries[-1]
+        with pytest.raises(IndexError):
+            trace[3]
 
     def test_comments_and_blanks_skipped(self):
         csv_text = "# a comment\n\n1,0,0,wiki/A\n"
@@ -262,6 +306,11 @@ class TestGenerateTrace:
         with pytest.raises(EmptyKnowledgeBase):
             generate_trace(kb, SyntheticSpec(n_users=1))
 
+    def test_time_overflowing_to_inf_refused(self):
+        spec = SyntheticSpec(n_users=1, requests_per_user=(2, 2), gap_ms=1e308)
+        with pytest.raises(ValueError, match="^time_ms must be finite and >= 0, got inf$"):
+            generate_trace(chain_kb(), spec)
+
     def test_sorted_by_time(self):
         kb = chain_kb()
         trace = generate_trace(kb, SyntheticSpec(n_users=10, seed=9))
@@ -297,6 +346,17 @@ class TestSpecValidation:
     def test_non_int_counts(self, field, kwargs):
         with pytest.raises(TypeError, match=f"{field} must be an int"):
             SyntheticSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "gap, last",
+        [(0.0, 0.0), ((0.0, 5.0), 15.0), ((5.0, 5.0), 15.0)],
+        ids=["zero", "from-zero", "equal-ends"],
+    )
+    def test_boundary_gaps_accepted(self, gap, last):
+        """A gap of 0, a range from 0 and a range of one value are valid."""
+        spec = SyntheticSpec(n_users=1, requests_per_user=(3, 3), gap_ms=gap)
+        trace = generate_trace(chain_kb(), spec)
+        assert len(trace) == 3 and trace[-1].time_ms <= last
 
     def test_fixed_gap(self):
         kb = chain_kb()
