@@ -15,8 +15,8 @@ from typing import Sequence, TextIO
 
 from semcache.kb import KnowledgeBase
 from semcache.metrics import MetricsReport
-from semcache.sim import Mode, Topology, _PreparedTrace, run_simulation
-from semcache.workload import SyntheticSpec, generate_trace
+from semcache.sim import Mode, Topology, run_simulation
+from semcache.workload import SyntheticSpec, TraceEntry, generate_trace
 
 
 class ExperimentError(Exception):
@@ -88,15 +88,14 @@ def run_sweep(spec: SweepSpec, kb: KnowledgeBase) -> list[SweepPoint]:
     """Run both modes at every sweep value; points are keyed, order stable."""
     points: list[SweepPoint] = []
     # Only a user-count sweep changes the workload; the others share one
-    # trace, checked and described once for every simulation that runs it.
-    traces: dict[SyntheticSpec, _PreparedTrace] = {}
+    # trace, which keeps its preparation for every simulation that runs it.
+    traces: dict[SyntheticSpec, Sequence[TraceEntry]] = {}
     for value in spec.values:
         try:
             scen = _apply(spec.scenario, spec.variable, value)
             workload = replace(scen.workload, seed=spec.seed)
             if workload not in traces:
-                trace = generate_trace(kb, workload)
-                traces[workload] = _PreparedTrace(trace, kb, scen.topology.cells)
+                traces[workload] = generate_trace(kb, workload)
             trace = traces[workload]
             for mode in (Mode.SEMANTIC, Mode.TRADITIONAL):
                 report, _ = run_simulation(scen.topology, kb, trace, mode, spec.seed)

@@ -30,13 +30,16 @@ A trace is held as columns, not as a list of entries: a generated or
 loaded trace hands its columns on, and no run builds a ``TraceEntry``.  It
 is checked and described once per (trace, KB, cell count): its order, each
 entry's descriptor, its cell range and each request's size are worked out
-entry by entry before the first run, and ``run_sweep`` reuses them across
-its points.  So are the requests' arrivals at the end of each
-run of access links, worked out from those one link shorter: both modes
-and all three cache locations share them.  A trace that a single run
-prepares for itself stores none of them.  A metadata header's size
-depends only on its IRI's UTF-8 byte length, so a Semantic run's overhead
-is counted from the request sizes already worked out, with no header built.
+entry by entry before its first run.  So are the requests' arrivals at
+the end of each run of access links, worked out from those one link
+shorter: both modes and all three cache locations share them.  A
+generated or loaded trace keeps all this for its next run, whoever makes
+it, and a run with the same KB object and cell count reuses it; so the
+trace keeps the KB of its last run alive.  A trace given as a plain list
+is prepared for its one run and stores no arrivals.  A metadata header's
+size depends only on its IRI's UTF-8 byte length, so a Semantic run's
+overhead is counted from the request sizes already worked out, with no
+header built.
 A run keeps its results in columns indexed by request id, and its records
 are built from them the first time they are read: a sweep, which reads
 none, builds none.
@@ -212,9 +215,9 @@ class _PreparedTrace(_Trace):
     (not bools), then its cell range, and last its IRI is encoded, all entry
     by entry, so the first bad entry's first fault is the one raised.
     ``arrivals`` works out the requests' way up to a cache node; a
-    ``shared`` trace, prepared for several runs, stores what it works out,
-    and a trace private to one run stores nothing.  Not to be changed once
-    built."""
+    ``shared`` trace, one that ``_prepare`` keeps for later runs, stores
+    what it works out, and a trace private to one run stores nothing.  Not
+    to be changed once built."""
 
     def __init__(
         self, trace: Iterable[TraceEntry], kb: KnowledgeBase, cells: int, shared: bool = True
@@ -300,6 +303,21 @@ class _PreparedTrace(_Trace):
             "per_user_bytes": total / n_users if n_users else 0.0,
             "ratio_of_total_traffic": total / content if content else 0.0,
         }
+
+
+def _prepare(trace: Sequence[TraceEntry], kb: KnowledgeBase, cells: int) -> _PreparedTrace:
+    """``trace`` prepared for ``kb`` and ``cells``.  A column trace keeps
+    its shared preparation in its ``_prepared`` attribute, which only this
+    function reads and writes, and a run with the same KB object and cell
+    count reuses it, or else replaces it; a preparation that raises
+    replaces nothing.  Any other trace is prepared for one run."""
+    if not isinstance(trace, _Trace):
+        return _PreparedTrace(trace, kb, cells, shared=False)
+    prepared = getattr(trace, "_prepared", None)
+    if prepared is not None and prepared.kb is kb and prepared.cells == cells:
+        return prepared
+    trace._prepared = prepared = _PreparedTrace(trace, kb, cells)
+    return prepared
 
 
 _NO_OVERHEAD = {"total_bytes": 0, "per_user_bytes": 0.0, "ratio_of_total_traffic": 0.0}
@@ -435,10 +453,7 @@ class _Simulation:
                 )
             )
 
-        # A prepared trace is reused only for the same KB object and cell count.
-        if not (isinstance(trace, _PreparedTrace) and trace.kb is kb and trace.cells == t.cells):
-            trace = _PreparedTrace(trace, kb, t.cells, shared=False)
-        self.trace = trace
+        self.trace = trace = _prepare(trace, kb, t.cells)
         # Headers are sized before the run, so an IRI too long for one fails first.
         self.overhead = trace.overhead if self.semantic else _NO_OVERHEAD
         self.cell_ids = trace.cell_ids
@@ -592,9 +607,11 @@ def run_simulation(
     ``topology`` also sets the caches' eviction policy and the prefetch cap.
     The seed is echoed into the report for bookkeeping; the event schedule
     itself contains no randomness.  The trace is checked and described once
-    per (trace, KB, cell count): a trace that ``run_sweep`` prepared for
-    this ``kb`` and ``topology.cells`` is run as it is, so its points share
-    that work.
+    per (trace, KB object, cell count): a trace from ``generate_trace`` or
+    ``load_trace`` keeps that work, and the access links' arrivals, for its
+    next run with the same ``kb`` and ``topology.cells``, which keeps that
+    ``kb`` alive with the trace.  A plain list of entries is prepared anew
+    on each run.
     """
     sim = _Simulation(topology, kb, trace, mode)
     sim.loop.run(sim.schedule_trace(), sim._at_cache, sim._fetched)

@@ -36,7 +36,14 @@ from semcache.sim import (
     _Simulation,
     run_simulation,
 )
-from semcache.workload import TraceEntry
+from semcache.workload import (
+    TraceEntry,
+    _columns,
+    _Trace,
+    generate_trace,
+    load_trace,
+    save_trace,
+)
 
 from reference_sim import ReferenceSim, run_reference
 
@@ -589,10 +596,10 @@ class TestRunsMatchHopByHop:
 
 
 class TestSharedArrivals:
-    """A prepared trace works out its arrivals once per run of access links
-    and shares them: runs of one prepared trace at the three cache
-    locations in both modes, in any order, each match the run of a fresh
-    list of its entries."""
+    """A column trace works out its arrivals once per run of access links
+    and shares them: runs of one column trace at the three cache locations
+    in both modes, in any order, each match the run of a fresh list of its
+    entries."""
 
     RUNS = [(location, mode) for location in CacheLocation for mode in Mode]
     QUEUED = _QUEUED
@@ -617,7 +624,7 @@ class TestSharedArrivals:
         self, links, entities, steps, cells, runs, eviction, max_prefetch
     ):
         kb, trace = _kb_and_trace(entities, steps, cells)
-        prepared = sim_module._PreparedTrace(trace, kb, cells)
+        shared = _Trace(*_columns(trace))
 
         def outcome(location, mode, trace):
             topology = Topology(
@@ -632,7 +639,7 @@ class TestSharedArrivals:
             return repr(report), [(r.completed_at.hex(), r.served_from) for r in records]
 
         for location, mode in runs:
-            assert outcome(location, mode, prepared) == outcome(location, mode, list(trace))
+            assert outcome(location, mode, shared) == outcome(location, mode, list(trace))
 
     def test_a_private_trace_stores_no_arrivals(self, monkeypatch):
         """``run_simulation`` on a plain list prepares a trace that no other
@@ -1469,6 +1476,94 @@ class TestSweptTrace:
         assert all(r.descriptor is kb.describe(r.descriptor.entity_iri) for r in records)
 
 
+def loaded_trace(kb):
+    """Six users of the reference browsing mix in two cells, saved as CSV
+    and loaded back: a column trace."""
+    sink = io.StringIO()
+    save_trace(generate_trace(kb, replace(reference_workload(6), n_cells=2)), sink)
+    return load_trace(io.StringIO(sink.getvalue()))
+
+
+class TestColumnTraceKeepsItsPreparation:
+    """A loaded or generated trace keeps its preparation for its next run,
+    by any caller: with the same KB object and cell count a run checks,
+    describes and claims nothing again, and with another it prepares the
+    trace afresh.  Every run equals a run of a plain list of its entries."""
+
+    RUNS = TestSharedArrivals.RUNS
+
+    @pytest.fixture
+    def describes(self, monkeypatch):
+        calls = []
+        real = KnowledgeBase.describe
+
+        def describe(self, iri):
+            calls.append(iri)
+            return real(self, iri)
+
+        monkeypatch.setattr(KnowledgeBase, "describe", describe)
+        return calls
+
+    def test_second_run_describes_nothing(self, describes):
+        kb = reference_kb()
+        trace = loaded_trace(kb)
+        describes.clear()
+        run_simulation(topo(cells=2), kb, trace, Mode.SEMANTIC)
+        assert len(describes) == len(trace)
+        describes.clear()
+        run_simulation(topo(CacheLocation.PGW, cells=2), kb, trace, Mode.TRADITIONAL)
+        assert describes == []
+
+    @pytest.mark.parametrize("runs", [RUNS, RUNS[::-1]], ids=["enodeb-first", "pgw-first"])
+    def test_each_run_matches_a_list(self, runs):
+        kb = reference_kb()
+        trace = loaded_trace(kb)
+
+        def outcome(location, mode, trace):
+            report, records = run_simulation(topo(location, cells=2), kb, trace, mode, 3)
+            return repr(report), [r.completed_at.hex() for r in records]
+
+        for location, mode in runs:
+            assert outcome(location, mode, trace) == outcome(location, mode, list(trace))
+        assert len(trace._prepared._arrivals) == 3
+
+    def test_another_kb_or_cell_count_prepares_again(self, describes):
+        kb = reference_kb()
+        trace = loaded_trace(kb)
+        _, expected = run_simulation(topo(cells=2), kb, list(trace), Mode.SEMANTIC)
+        for run_kb, cells in [(kb, 2), (reference_kb(), 2), (kb, 3), (kb, 2)]:
+            describes.clear()
+            _, records = run_simulation(topo(cells=cells), run_kb, trace, Mode.SEMANTIC)
+            assert len(describes) == len(trace)
+            assert records == expected
+            assert all(r.descriptor is run_kb.describe(r.descriptor.entity_iri) for r in records)
+        describes.clear()
+        run_simulation(topo(cells=2), kb, trace, Mode.TRADITIONAL)
+        assert describes == []
+
+    def test_a_kb_lacking_an_iri_still_raises(self):
+        trace = load_trace(io.StringIO("0,0,0,wiki/Alice\n1,0,0,wiki/Bob\n"))
+        run_simulation(topo(), pair_kb(), trace, Mode.SEMANTIC)
+        alice = '"wiki/Alice" type Person\n"wiki/Alice" size 9\n'
+        with pytest.raises(UnknownEntity, match="wiki/Bob"):
+            run_simulation(topo(), load_knowledge_base(io.StringIO(alice)), trace, Mode.SEMANTIC)
+
+    def test_a_failed_preparation_stores_nothing(self, describes):
+        kb = pair_kb()
+        trace = load_trace(io.StringIO("0,0,0,wiki/Alice\n1,1,1,wiki/Bob\n"))
+        too_few = "^trace entry 1: cell 1 outside topology$"
+        with pytest.raises(SimulationError, match=too_few):
+            run_simulation(topo(cells=1), kb, trace, Mode.SEMANTIC)
+        assert getattr(trace, "_prepared", None) is None
+        expected = run_simulation(topo(cells=2), kb, list(trace), Mode.SEMANTIC)
+        assert run_simulation(topo(cells=2), kb, trace, Mode.SEMANTIC) == expected
+        with pytest.raises(SimulationError, match=too_few):
+            run_simulation(topo(cells=1), kb, trace, Mode.SEMANTIC)
+        describes.clear()
+        assert run_simulation(topo(cells=2), kb, trace, Mode.SEMANTIC) == expected
+        assert describes == []
+
+
 class TestDeterminism:
     def test_identical_runs(self):
         kb = pair_kb()
@@ -1516,6 +1611,31 @@ class TestNoReferenceCycle:
             ref = weakref.ref(records)
             del report, records
             assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_a_kept_trace_keeps_no_run_alive(self, monkeypatch):
+        # A column trace keeps its preparation after the run, but neither the
+        # run's records, read or not, nor the simulation that made them.
+        sims = []
+
+        class Watched(_Simulation):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sims.append(weakref.ref(self))
+
+        monkeypatch.setattr(sim_module, "_Simulation", Watched)
+        trace = load_trace(io.StringIO("0,0,0,wiki/Alice\n1,1,0,wiki/Bob\n"))
+        gc.disable()
+        try:
+            for read in (False, True):
+                report, records = run_simulation(topo(), pair_kb(), trace, Mode.SEMANTIC)
+                refs = [weakref.ref(records), sims[-1]]
+                if read:
+                    refs.append(weakref.ref(records[0]))
+                del report, records
+                assert [ref() for ref in refs] == [None] * len(refs)
+                assert trace._prepared is not None
         finally:
             gc.enable()
 
