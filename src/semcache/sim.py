@@ -36,10 +36,10 @@ shorter: both modes and all three cache locations share them.  A
 generated or loaded trace keeps all this for its next run, whoever makes
 it, and a run with the same KB object and cell count reuses it; so the
 trace keeps the KB of its last run alive.  A trace given as a plain list
-is prepared for its one run and stores no arrivals.  A metadata header's
-size depends only on its IRI's UTF-8 byte length, so a Semantic run's
-overhead is counted from the request sizes already worked out, with no
-header built.
+is made a column trace for its one run.  A metadata header's size
+depends only on its IRI's UTF-8 byte length, so a Semantic run's overhead
+is counted from the request sizes already worked out, with no header
+built.
 A run keeps its results in columns indexed by request id, and its records
 are built from them the first time they are read: a sweep, which reads
 none, builds none.
@@ -214,18 +214,13 @@ class _PreparedTrace(_Trace):
     described, then its ``user_id`` and ``cell_id`` are checked to be ints
     (not bools), then its cell range, and last its IRI is encoded, all entry
     by entry, so the first bad entry's first fault is the one raised.
-    ``arrivals`` works out the requests' way up to a cache node; a
-    ``shared`` trace, one that ``_prepare`` keeps for later runs, stores
-    what it works out, and a trace private to one run stores nothing.  Not
-    to be changed once built."""
+    ``arrivals`` works out the requests' way up to a cache node and stores
+    what it works out.  Not to be changed once built."""
 
-    def __init__(
-        self, trace: Iterable[TraceEntry], kb: KnowledgeBase, cells: int, shared: bool = True
-    ):
+    def __init__(self, trace: Iterable[TraceEntry], kb: KnowledgeBase, cells: int):
         super().__init__(*_columns(trace))
         self.kb = kb
         self.cells = cells
-        self.shared = shared
         self._arrivals: dict[tuple[LinkSpec, ...], tuple[array, array]] = {}
         describe = kb.describe
         self.descriptors = descriptors = []
@@ -259,10 +254,10 @@ class _PreparedTrace(_Trace):
         ``_claim``'s law is written out, each channel held as its
         ``busy_until``: a call per request and level costs more.
 
-        A shared trace stores each run of links it works out, as two arrays
-        of 8 bytes a number, so both modes and every cache location share
-        it; a private trace stores nothing.  The times come back as a list
-        the caller may write: a stored run's are copied."""
+        Each run of links worked out is stored, as two arrays of 8 bytes a
+        number, so both modes and every cache location share it.  The times
+        come back as a list the caller may write: a stored run's are
+        copied."""
         found = self._arrivals.get(links)
         if found is not None:
             times, order = found
@@ -284,8 +279,7 @@ class _PreparedTrace(_Trace):
             busy = busy_until[c] = (busy if busy > t else t) + sizes[i] / bandwidth
             times[i] = busy + delay
         order = sorted(order, key=times.__getitem__)
-        if self.shared:
-            self._arrivals[links] = array("d", times), array("l", order)
+        self._arrivals[links] = array("d", times), array("l", order)
         return times, order
 
     @functools.cached_property
@@ -307,12 +301,13 @@ class _PreparedTrace(_Trace):
 
 def _prepare(trace: Sequence[TraceEntry], kb: KnowledgeBase, cells: int) -> _PreparedTrace:
     """``trace`` prepared for ``kb`` and ``cells``.  A column trace keeps
-    its shared preparation in its ``_prepared`` attribute, which only this
+    its preparation in its ``_prepared`` attribute, which only this
     function reads and writes, and a run with the same KB object and cell
     count reuses it, or else replaces it; a preparation that raises
-    replaces nothing.  Any other trace is prepared for one run."""
+    replaces nothing.  Any other trace is first made a column trace of its
+    own, which goes away with the run."""
     if not isinstance(trace, _Trace):
-        return _PreparedTrace(trace, kb, cells, shared=False)
+        trace = _Trace(*_columns(trace))
     prepared = getattr(trace, "_prepared", None)
     if prepared is not None and prepared.kb is kb and prepared.cells == cells:
         return prepared

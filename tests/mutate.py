@@ -53,6 +53,15 @@ BOOLEAN = {ast.And: ast.Or, ast.Or: ast.And}
 # prints them, "<file>:<function>: <expression> -> <mutated expression>",
 # with the reason.
 EQUIVALENT = {
+    "cache.py:Cache.lookup: now < self._clock -> now <= self._clock": (
+        "on equal times _advance checks again and sets the same clock"
+    ),
+    "cache.py:Cache.insert: now < self._clock -> now <= self._clock": (
+        "on equal times _advance checks again and sets the same clock"
+    ),
+    "kb.py:load_knowledge_base: len(objs) > 1 -> len(objs) >= 1": (
+        "a single object sorts to itself"
+    ),
     "sim.py:_claim: busy > t -> busy >= t": "on a tie both give the same time",
     "sim.py:_PreparedTrace.arrivals: busy > t -> busy >= t": "on a tie both give the same time",
     "workload.py:load_trace: len(stripped) <= limit -> len(stripped) < limit": (

@@ -290,6 +290,9 @@ class TestConfigErrors:
             ("gen-trace", "gap_ms", ".nan", "'gap_ms'"),
             ("gen-trace", "gap_ms", "[5, 1]", "'gap_ms'"),
             ("gen-trace", "requests_per_user", "[0, 3]", "'requests_per_user'"),
+            # A list that is not a pair.
+            ("gen-trace", "requests_per_user", "[20, 30, 40]", "'requests_per_user'"),
+            ("gen-trace", "gap_ms", "[1, 2, 3]", "'gap_ms'"),
             # Delays and gaps must be finite.
             ("simulate", "ue_enb_delay_ms", ".inf", "'ue_enb_delay_ms'"),
             ("gen-trace", "pgw_inet_delay_ms", ".inf", "'pgw_inet_delay_ms'"),

@@ -76,6 +76,14 @@ class TestLoad:
             load_knowledge_base(io.StringIO(text))
         assert (exc.value.iri, exc.value.line_no) == ("wiki/A", 2)
 
+    def test_missing_size_of_an_object_no_rule_follows(self):
+        """A Person's ``starring`` is not followed, and the one size and one
+        type leave equal counts, but the object still needs a size."""
+        text = '"A" type Person\n"A" size 1\n"A" starring "X"\n'
+        with pytest.raises(MissingSizeError) as exc:
+            load_knowledge_base(io.StringIO(text))
+        assert (exc.value.iri, exc.value.line_no) == ("X", 3)
+
     def test_missing_type(self):
         text = '"wiki/A" size 10\n'
         with pytest.raises(MissingTypeError):

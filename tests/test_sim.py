@@ -253,9 +253,9 @@ _IRIS = ("a", "bb", "cccc")
 class TestAccessArrivalsMatchHopByHop:
     """``schedule_trace``'s arrivals at the cache node, worked out before the
     run, and their order are those at which the reference simulator's
-    requests, sent one link per step, reach the cache node: for a trace
-    private to the run, and for a shared trace that extends the arrivals
-    it stored at the eNodeB."""
+    requests, sent one link per step, reach the cache node: as a run of a
+    plain list works them out from the trace's times, and as a prepared
+    trace extends the arrivals it stored at the eNodeB."""
 
     TRIPLES = [(iri, p, o) for iri in _IRIS for p, o in (("type", "Person"), ("size", 10))]
 
@@ -295,9 +295,9 @@ class TestAccessArrivalsMatchHopByHop:
 
         sim = _Simulation(topology, kb, trace, Mode.TRADITIONAL)
         assert [(t.hex(), i) for t, i in sim.schedule_trace()] == expected
-        shared = _PreparedTrace(trace, kb, cells)
-        shared.arrivals(sim.access_links[:1])
-        times, order = shared.arrivals(sim.access_links)
+        prepared = _PreparedTrace(trace, kb, cells)
+        prepared.arrivals(sim.access_links[:1])
+        times, order = prepared.arrivals(sim.access_links)
         assert [(times[i].hex(), i) for i in order] == expected
 
 
@@ -641,9 +641,10 @@ class TestSharedArrivals:
         for location, mode in runs:
             assert outcome(location, mode, shared) == outcome(location, mode, list(trace))
 
-    def test_a_private_trace_stores_no_arrivals(self, monkeypatch):
-        """``run_simulation`` on a plain list prepares a trace that no other
-        run can read, so it works out its arrivals and stores none."""
+    def test_a_list_is_prepared_as_a_column_trace(self, monkeypatch):
+        """``run_simulation`` on a plain list prepares it once per run, as
+        it would a column trace: the preparation stores each run of access
+        links it works out, and the caller's list is left as it was."""
         prepared = []
 
         class Kept(_PreparedTrace):
@@ -653,10 +654,12 @@ class TestSharedArrivals:
 
         monkeypatch.setattr(sim_module, "_PreparedTrace", Kept)
         trace = [TraceEntry(0.0, 0, 0, "wiki/Alice"), TraceEntry(1.0, 1, 1, "wiki/Bob")]
+        before = list(trace)
         for location in CacheLocation:
             _, records = run_simulation(topo(location, cells=2), pair_kb(), trace, Mode.SEMANTIC)
             assert all(r.served_from is not None for r in records)
-        assert [p._arrivals for p in prepared] == [{}, {}, {}]
+        assert [len(p._arrivals) for p in prepared] == [1, 2, 3]
+        assert trace == before
 
 
 def _round_trip(topology, depth, t, record, kb):
