@@ -13,13 +13,18 @@ credit) moves the entry to the back; under FIFO entries never move, so a
 refresh keeps its place.  Entries touched at the same time are therefore
 evicted in operation order.  A refused call (a bad size, a resize, a
 regressing time or a credit of an absent key) changes nothing.
+
+A lookup counts one hit or one miss, and ``stats`` reports the lookups as
+their sum.  The counters are the cache's own attributes, and the policy's
+touch is bound once: the ordered dict's ``move_to_end`` under LRU, a no-op
+under FIFO.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Hashable, Optional
 
 
@@ -64,6 +69,10 @@ class CacheStats:
     used: int = 0
 
 
+def _keep_place(key: Hashable) -> None:
+    """FIFO's touch: an entry never moves."""
+
+
 class Cache:
     """Single-writer byte-capacity cache with LRU or FIFO eviction."""
 
@@ -74,10 +83,16 @@ class Cache:
             raise ValueError(f"unknown eviction policy {policy!r}")
         self.capacity = capacity
         self.policy = policy
-        self._lru = policy == "lru"
         self._entries: OrderedDict[Hashable, CacheEntry] = OrderedDict()
+        self._touch = self._entries.move_to_end if policy == "lru" else _keep_place
         self._clock = 0.0
-        self._stats = CacheStats()
+        # The counters of ``CacheStats``, but the lookups: ``stats`` adds
+        # them up from the hits and misses.
+        self._hits = self._misses = 0
+        self._demand_insertions = self._prefetch_insertions = 0
+        self._evictions = self._rejections = 0
+        self._prefetched_bytes = self._prefetched_bytes_hit = 0
+        self._used = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -87,7 +102,7 @@ class Cache:
 
     @property
     def used(self) -> int:
-        return self._stats.used
+        return self._used
 
     def _advance(self, now: float) -> None:
         """Move the clock to ``now``, refusing a regression.  ``lookup`` and
@@ -97,23 +112,22 @@ class Cache:
         self._clock = now
 
     def lookup(self, key: Hashable, now: float) -> Optional[CacheEntry]:
-        """Return the entry on a hit (refreshing recency), None on a miss."""
-        # ``_advance`` and ``credit_prefetch_hit``'s touch, written out: a
+        """Return the entry on a hit (touching it), None on a miss.  Counts
+        one hit or one miss; ``stats`` reports their sum as the lookups."""
+        # ``_advance`` and ``credit_prefetch_hit``'s credit, written out: a
         # call costs more.
         if now < self._clock:
             self._advance(now)
         self._clock = now
-        stats = self._stats
-        stats.lookups += 1
         entry = self._entries.get(key)
         if entry is None:
+            self._misses += 1
             return None
-        stats.hits += 1
-        if self._lru:
-            self._entries.move_to_end(key)
+        self._hits += 1
+        self._touch(key)
         if entry.origin is _PREFETCH and not entry.prefetch_credited:
             entry.prefetch_credited = True
-            stats.prefetched_bytes_hit += entry.size
+            self._prefetched_bytes_hit += entry.size
         return entry
 
     def insert(self, key: Hashable, size: int, origin: ContentOrigin, now: float) -> bool:
@@ -138,31 +152,29 @@ class Cache:
         self._clock = now
         if existing is not None:
             existing.origin = origin
-            if self._lru:
-                entries.move_to_end(key)
+            self._touch(key)
             return True
 
-        stats = self._stats
         capacity = self.capacity
         if size > capacity:
-            stats.rejections += 1
+            self._rejections += 1
             return False
-        used = stats.used + size
+        used = self._used + size
         while used > capacity:
             used -= entries.popitem(last=False)[1].size
-            stats.evictions += 1
-        stats.used = used
+            self._evictions += 1
+        self._used = used
         entries[key] = CacheEntry(key, size, origin)
         if origin is _PREFETCH:
-            stats.prefetch_insertions += 1
-            stats.prefetched_bytes += size
+            self._prefetch_insertions += 1
+            self._prefetched_bytes += size
         else:
-            stats.demand_insertions += 1
+            self._demand_insertions += 1
         return True
 
     def credit_prefetch_hit(self, key: Hashable, now: float) -> None:
-        """Mark a cached entry as demanded without counting a lookup: move it
-        to the back (LRU) and credit its prefetch once.
+        """Mark a cached entry as demanded without counting a lookup: touch
+        it (under LRU, move it to the back) and credit its prefetch once.
 
         Used when a demand request was already counted as a miss but is
         satisfied by an in-flight prefetch arriving at the cache.  Raises
@@ -170,15 +182,25 @@ class Cache:
         """
         entry = self._entries[key]
         self._advance(now)
-        if self._lru:
-            self._entries.move_to_end(key)
+        self._touch(key)
         if entry.origin is _PREFETCH and not entry.prefetch_credited:
             entry.prefetch_credited = True
-            self._stats.prefetched_bytes_hit += entry.size
+            self._prefetched_bytes_hit += entry.size
 
     def stats(self) -> CacheStats:
-        """Snapshot of all counters (a copy; further ops do not mutate it)."""
-        return CacheStats(**asdict(self._stats))
+        """Snapshot of all counters (a copy; further ops do not change it).
+        ``lookups`` is ``hits`` plus the misses."""
+        return CacheStats(
+            lookups=self._hits + self._misses,
+            hits=self._hits,
+            demand_insertions=self._demand_insertions,
+            prefetch_insertions=self._prefetch_insertions,
+            evictions=self._evictions,
+            rejections=self._rejections,
+            prefetched_bytes=self._prefetched_bytes,
+            prefetched_bytes_hit=self._prefetched_bytes_hit,
+            used=self._used,
+        )
 
     def entries(self) -> list[CacheEntry]:
         return list(self._entries.values())

@@ -317,7 +317,8 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 
 def cmd_validate_kb(args: argparse.Namespace) -> int:
     kb = load_knowledge_base(_path(vars(args), "kb"))
-    persons = sum(1 for e in kb.entities() if kb.kind_of(e) is EntityKind.PERSON)
+    person = EntityKind.PERSON
+    persons = sum(d.entity_kind is person for d in kb.descriptors.values())
     sys.stdout.write(
         f"ok: {len(kb)} entities ({persons} persons, {len(kb) - persons} TV series), "
         f"{kb.triples} triples\n"

@@ -1,6 +1,7 @@
 """A mutation pass: which boundaries in a module does no test pin?
 
-Run by hand from the repository root, one or more modules at a time:
+Run from the repository root, one or more modules at a time (CI runs it
+over ``cache.py``):
 
     python3 tests/mutate.py src/semcache/sim.py --tests tests/test_sim.py tests/test_experiments.py
 

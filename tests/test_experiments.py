@@ -35,6 +35,31 @@ def small_workload(n_users=6):
     return spec
 
 
+class TestApply:
+    """Each sweep variable sets its own field and leaves every other.  First
+    in the file: were a cache-size value applied as the user count, the
+    sweeps below would generate traces of millions of users, and this fails
+    at once instead."""
+
+    @pytest.mark.parametrize(
+        "variable, value, field",
+        [
+            (SweepVariable.USER_COUNT, 4, "n_users"),
+            (SweepVariable.CACHE_SIZE, 20_000_000, "cache_capacity"),
+            (SweepVariable.CACHE_LOCATION, CacheLocation.PGW, "cache_location"),
+        ],
+    )
+    def test_a_variable_sets_only_its_field(self, variable, value, field):
+        scen = Scenario(topology=reference_topology(), workload=small_workload())
+        applied = experiments._apply(scen, variable, value)
+        topology, workload = scen.topology, scen.workload
+        if variable is SweepVariable.USER_COUNT:
+            workload = replace(workload, **{field: value})
+        else:
+            topology = replace(topology, **{field: value})
+        assert applied == Scenario(topology=topology, workload=workload)
+
+
 class TestRunSweep:
     def test_single_point_matches_direct_run(self, kb):
         scen = Scenario(topology=reference_topology(), workload=small_workload())
